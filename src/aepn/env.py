@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -226,17 +227,29 @@ def vector_action_table(template: MarkedAEPN) -> list[tuple]:
     return table
 
 
+# per template: action table, its key -> index dict, per-place color index;
+# built once and shared read-only by every VectorEnv over that template
+_VECTOR_TABLES: "weakref.WeakKeyDictionary[MarkedAEPN, tuple]" = weakref.WeakKeyDictionary()
+
+
+def _vector_tables(template: MarkedAEPN) -> tuple:
+    tables = _VECTOR_TABLES.get(template)
+    if tables is None:
+        actions = vector_action_table(template)
+        tables = _VECTOR_TABLES[template] = (
+            actions, {key: i for i, key in enumerate(actions)},
+            {pid: _ColorIndex(b) for pid, b in template.color_spec.items()})
+    return tables
+
+
 class VectorEnv:
     """Count-vector view of :class:`AssignmentEnv` with bucket-indexed actions."""
 
     def __init__(self, template: MarkedAEPN, seed=None):
         self.env = AssignmentEnv(template, seed)
-        self.actions = vector_action_table(template)
-        self._index = {key: i for i, key in enumerate(self.actions)}
+        self.actions, self._index, self._color_index = _vector_tables(template)
         self.n_actions = len(self.actions)
         self.obs_dim = sum(len(b) for b in template.color_spec.values())
-        self._color_index = {pid: _ColorIndex(b)
-                             for pid, b in template.color_spec.items()}
 
     @property
     def done(self) -> bool:

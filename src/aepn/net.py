@@ -4,9 +4,9 @@ A marked net carries timed, attribute-valued tokens on places and alternates
 between two phases: Evolution transitions model the environment (arrivals,
 expirations, completions) and fire automatically, Action transitions model
 assignment decisions and fire only when an agent picks one of their enabled
-bindings.  A binding selects one token per input place; it is enabled when
-every chosen token's availability time is at or before the global clock and
-the transition guard holds.
+bindings.  A binding selects one token per input place (every transition
+needs at least one); it is enabled when every chosen token's availability
+time is at or before the global clock and the transition guard holds.
 
 Guards, rewards and output-arc expressions use a small declarative form so
 nets round-trip through JSON without any code execution:
@@ -16,7 +16,8 @@ nets round-trip through JSON without any code execution:
 * output expressions: copy a consumed token (``identity``), override or add
   attributes (``set_attrs``), or mint a fresh token (``emit``), each with an
   optional delay that is a constant, a sampled value, or an attribute
-  reference.  Produced tokens become available at ``clock + delay``.
+  reference.  Produced tokens become available at ``clock + delay``; a
+  negative delay, sampled or referenced, is an error.
 
 Attribute references resolve against the *origin* id of a place, so they stay
 valid after a net is rewritten into its single-token expanded form.
@@ -259,6 +260,9 @@ class ArcExpr:
             d = self.delay.draw(rng, clock)
         elif isinstance(self.delay, tuple):
             d = _eval_term(self.delay, by_origin, clock)
+        if d < 0:
+            raise AEPNError(f"negative delay {d!r} would place a token before "
+                            f"the clock {clock!r}")
         return Token(values, clock + d)
 
     @staticmethod
@@ -402,6 +406,8 @@ class MarkedAEPN:
             if st and arc.expr is None:
                 raise NetValidationError(f"output arc {arc.source!r}->{arc.target!r} needs an expression")
         for tid, pids in self._in.items():
+            if not pids:
+                raise NetValidationError(f"transition {tid!r} has no input places and could never fire")
             if len(set(pids)) != len(pids):
                 raise NetValidationError(f"transition {tid!r} has two input arcs from one place")
         for tid, tr in self.transitions.items():

@@ -63,6 +63,15 @@ class MLPHead:
         return self.l1.parameters() + self.l2.parameters()
 
 
+def _pick(probs: np.ndarray, rng, argmax: bool) -> tuple[int, float]:
+    """Index drawn from (or the mode of) one probability vector, and its logp."""
+    if argmax:
+        k = int(np.argmax(probs))
+    else:
+        k = int(rng.choice(probs.size, p=probs / probs.sum()))
+    return k, float(np.log(max(probs[k], 1e-30)))
+
+
 def segment_softmax(scores: Tensor, segments, num_segments: int) -> Tensor:
     """Softmax over rows of a column vector, independently per segment."""
     seg = np.asarray(segments, dtype=np.intp)
@@ -249,22 +258,31 @@ class GraphActorCritic:
         mean = total / Tensor(batch.counts.reshape(-1, 1))
         return self.value_head(mean)
 
-    def act(self, obs, rng, argmax: bool = False):
-        """One decision: returns (env action, stored obs, action index, logp, value)."""
-        batch = self.batch([obs.graph])
+    def act_batch(self, obs_list, rng, argmax: bool = False) -> list[tuple]:
+        """One decision per observation from one batched forward; each is
+        (env action, stored obs, action index, logp, value), picked in list
+        order from ``rng``."""
+        batch = self.batch([obs.graph for obs in obs_list])
         with no_grad():
             probs = self.policy_forward(batch).data[:, 0]
-            value = float(self.value_forward(batch).data[0, 0])
-        if argmax:
-            k = int(np.argmax(probs))
-        else:
-            k = int(rng.choice(probs.size, p=probs / probs.sum()))
-        logp = float(np.log(max(probs[k], 1e-30)))
-        return obs.action_node_ids[k], obs.graph, k, logp, value
+            values = self.value_forward(batch).data[:, 0]
+        out = []
+        for i, obs in enumerate(obs_list):
+            lo = batch.action_offsets[i]
+            k, logp = _pick(probs[lo:lo + batch.action_counts[i]], rng, argmax)
+            out.append((obs.action_node_ids[k], obs.graph, k, logp, float(values[i])))
+        return out
+
+    def act(self, obs, rng, argmax: bool = False):
+        """One decision: returns (env action, stored obs, action index, logp, value)."""
+        return self.act_batch([obs], rng, argmax)[0]
+
+    def state_values(self, obs_list) -> np.ndarray:
+        with no_grad():
+            return self.value_forward(self.batch([obs.graph for obs in obs_list])).data[:, 0]
 
     def state_value(self, obs) -> float:
-        with no_grad():
-            return float(self.value_forward(self.batch([obs.graph])).data[0, 0])
+        return float(self.state_values([obs])[0])
 
     def evaluate_batch(self, obs_list, actions):
         """Log-probs, entropies, and values for stored decisions; (B,1) each."""
@@ -315,23 +333,29 @@ class VectorActorCritic:
     def value_forward(self, X: np.ndarray) -> Tensor:
         return self.vf[2](self.vf[1](self.vf[0](Tensor(X)).tanh()).tanh())
 
-    def act(self, obs, rng, argmax: bool = False):
-        vec, mask = obs
-        X = vec.reshape(1, -1)
+    def act_batch(self, obs_list, rng, argmax: bool = False) -> list[tuple]:
+        """Same contract as :meth:`GraphActorCritic.act_batch`; the stored
+        observation is the row pair of the stacked batch."""
+        X = np.stack([vec for vec, _ in obs_list])
+        masks = np.stack([mask for _, mask in obs_list])
         with no_grad():
-            probs = self.policy_forward(X, mask.reshape(1, -1)).data[0]
-            value = float(self.value_forward(X).data[0, 0])
-        if argmax:
-            k = int(np.argmax(probs))
-        else:
-            k = int(rng.choice(probs.size, p=probs / probs.sum()))
-        logp = float(np.log(max(probs[k], 1e-30)))
-        return k, (vec.copy(), mask.copy()), k, logp, value
+            probs = self.policy_forward(X, masks).data
+            values = self.value_forward(X).data[:, 0]
+        out = []
+        for i in range(len(obs_list)):
+            k, logp = _pick(probs[i], rng, argmax)
+            out.append((k, (X[i], masks[i]), k, logp, float(values[i])))
+        return out
+
+    def act(self, obs, rng, argmax: bool = False):
+        return self.act_batch([obs], rng, argmax)[0]
+
+    def state_values(self, obs_list) -> np.ndarray:
+        with no_grad():
+            return self.value_forward(np.stack([vec for vec, _ in obs_list])).data[:, 0]
 
     def state_value(self, obs) -> float:
-        vec, _ = obs
-        with no_grad():
-            return float(self.value_forward(vec.reshape(1, -1)).data[0, 0])
+        return float(self.state_values([obs])[0])
 
     def evaluate_batch(self, obs_list, actions):
         X = np.stack([vec for vec, _ in obs_list])

@@ -1,11 +1,14 @@
 """Clipped-surrogate policy optimization over the assignment environments.
 
 Rollouts run in a fixed set of parallel environments that persist across
-updates; advantages come from generalized advantage estimation computed
-per environment stream, and updates minimize the clipped surrogate plus
-value regression and an entropy bonus.  Works unchanged for the graph
-and the vector observation interfaces because both models expose
-``act``/``state_value``/``evaluate_batch``.
+updates and are stepped in lock step: one batched policy and value
+forward per wave of environments.  Model evaluation plays its episodes in
+lock-step waves the same way; scripted baselines play one episode at a
+time.  Advantages come from generalized advantage estimation computed per
+environment stream, and updates minimize the clipped surrogate plus value
+regression and an entropy bonus.  Works unchanged for the graph and the
+vector observation interfaces because both models expose
+``act_batch``/``state_values``/``evaluate_batch``.
 """
 
 from __future__ import annotations
@@ -23,6 +26,10 @@ from .nn.models import (GraphActorCritic, VectorActorCritic, graph_registry,
 from .nn.optim import Adam, clip_grad_norm
 from .nn.tensor import Tensor
 from .problems import build_problem
+
+# episodes a model plays in lock step during ``evaluate``; bounds memory
+# (1,000 p2 vector observations are about 200 MB)
+EVAL_WAVE = 64
 
 
 @dataclass
@@ -46,6 +53,11 @@ class PPOConfig:
     hidden: int = 64
     rounds: int = 2
     seed: int = 0
+
+    def __post_init__(self):
+        if self.num_envs < 1 or self.rollout < self.num_envs or self.rollout % self.num_envs:
+            raise ValueError(f"rollout ({self.rollout}) must be a positive multiple "
+                             f"of num_envs ({self.num_envs})")
 
     @classmethod
     def from_json(cls, path) -> "PPOConfig":
@@ -108,13 +120,17 @@ def _unpack_step(out):
 
 
 def collect_rollouts(state: RolloutState, model, cfg: PPOConfig) -> RolloutBuffer:
-    """Gather cfg.rollout decisions across the parallel environments."""
+    """Gather cfg.rollout decisions, stepping the environments in lock step.
+
+    Each wave makes one batched ``act_batch`` call over every env, then
+    steps the envs in index order; the shared ``rng`` is drawn in env order.
+    """
     envs = state.envs
-    per_env = cfg.rollout // len(envs)
     buf = RolloutBuffer(len(envs))
-    for _ in range(per_env):
-        for i, env in enumerate(envs):
-            env_action, stored, action, logp, value = model.act(state.obs[i], state.rng)
+    for _ in range(cfg.rollout // len(envs)):
+        decisions = model.act_batch(state.obs, state.rng)
+        for i, (env, decision) in enumerate(zip(envs, decisions)):
+            env_action, stored, action, logp, value = decision
             obs2, reward, done = _unpack_step(env.step(env_action))
             buf.add(i, TransitionRecord(stored, action, logp, reward, value, done))
             state.ep_return[i] += reward
@@ -123,9 +139,9 @@ def collect_rollouts(state: RolloutState, model, cfg: PPOConfig) -> RolloutBuffe
                 state.ep_return[i] = 0.0
                 obs2 = env.reset()
             state.obs[i] = obs2
-    for i in range(len(envs)):
-        tail = buf.streams[i][-1]
-        buf.last_values[i] = 0.0 if tail.done else model.state_value(state.obs[i])
+    live = [i for i, stream in enumerate(buf.streams) if not stream[-1].done]
+    if live:
+        buf.last_values[live] = model.state_values([state.obs[i] for i in live])
     return buf
 
 
@@ -225,26 +241,36 @@ def evaluate(model, problem: str, episodes: int = 200, seed: int = 0,
              argmax: bool = True, algo: str = "graph"):
     """Mean, std, and per-episode returns of a policy on a problem.
 
-    `model` may also be a plain callable (observation, rng) -> action for
-    the scripted baselines; those always run on the graph interface.
+    Episode ``j`` runs on child ``j`` of ``SeedSequence(seed)``.  A model
+    plays up to ``EVAL_WAVE`` episodes in lock step, one batched
+    ``act_batch`` call per wave step.  ``model`` may also be a plain
+    callable (observation, rng) -> action for the scripted baselines;
+    those play one episode at a time on the graph interface.
     """
     net = build_problem(problem)
     rng = np.random.default_rng(seed)
+    seeds = np.random.SeedSequence(seed).spawn(episodes)
     if callable(model) and not hasattr(model, "act"):
-        env = AssignmentEnv(net, seed=seed)
-        step_action = lambda obs: model(obs, rng)
+        make_env, width = AssignmentEnv, 1
+        choose = lambda obs_list: [model(obs, rng) for obs in obs_list]
     else:
-        env = (AssignmentEnv(net, seed=seed) if algo == "graph"
-               else VectorEnv(net, seed=seed))
-        step_action = lambda obs: model.act(obs, rng, argmax=argmax)[0]
+        make_env = AssignmentEnv if algo == "graph" else VectorEnv
+        width = max(1, min(EVAL_WAVE, episodes))
+        choose = lambda obs_list: [d[0] for d in model.act_batch(obs_list, rng, argmax)]
+    envs = [make_env(net, seed=seed) for _ in range(width)]
     returns = []
-    for _ in range(episodes):
-        obs = env.reset()
-        total, done = 0.0, False
-        while not done:
-            obs, reward, done = _unpack_step(env.step(step_action(obs)))
-            total += reward
-        returns.append(total)
+    for lo in range(0, episodes, width):
+        wave = seeds[lo:lo + width]
+        obs = [env.reset(s) for env, s in zip(envs, wave)]
+        totals = [0.0] * len(wave)
+        live = [i for i in range(len(wave)) if not envs[i].done]
+        while live:
+            actions = choose([obs[i] for i in live])
+            for i, action in zip(live, actions):
+                obs[i], reward, _ = _unpack_step(envs[i].step(action))
+                totals[i] += reward
+            live = [i for i in live if not envs[i].done]
+        returns.extend(totals)
     returns = np.asarray(returns)
     return float(returns.mean()), float(returns.std()), returns
 

@@ -50,6 +50,7 @@ def test_02_p1_random_baseline_band(capsys):
     assert ok, f"random baseline mean {mean:.1f} outside [1250, 1450]"
 
 
+@pytest.mark.slow
 def test_03_p1_training_reaches_optimum(capsys):
     t0 = time.perf_counter()
     cfg = PPOConfig(total_updates=30, eval_every=5, eval_episodes=50,
@@ -73,6 +74,7 @@ def test_04_p2_greedy_band(capsys):
     assert ok
 
 
+@pytest.mark.slow
 def test_05_p2_graph_beats_vector_at_matched_budget(capsys):
     cfg_g = PPOConfig(total_updates=60, eval_every=10, eval_episodes=50, seed=5)
     model_g, _, steps_g = train("p2", cfg_g, algo="graph")
@@ -90,6 +92,7 @@ def test_05_p2_graph_beats_vector_at_matched_budget(capsys):
     assert ok
 
 
+@pytest.mark.slow
 def test_06_p3_beats_baselines_on_graph_only_problem(capsys):
     with pytest.raises(NotRepresentableError):
         VectorEnv(build_problem("p3"))

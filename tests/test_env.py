@@ -4,6 +4,7 @@ import csv
 import numpy as np
 import pytest
 
+import aepn.env as env_mod
 from aepn.env import (
     AssignmentEnv,
     NotRepresentableError,
@@ -166,6 +167,20 @@ def test_vector_requires_color_spec():
         vector_action_table(p3)
     with pytest.raises(NotRepresentableError):
         VectorEnv(p3, seed=0)
+
+
+def test_vector_envs_share_tables_per_template():
+    template = build_problem("p2")
+    a, b = VectorEnv(template, seed=0), VectorEnv(template, seed=1)
+    assert a.actions is b.actions
+    assert a._index is b._index
+    assert a._color_index is b._color_index
+    other = VectorEnv(build_problem("p2"), seed=0)
+    assert other.actions is not a.actions and other.actions == a.actions
+    p3 = build_problem("p3")
+    with pytest.raises(NotRepresentableError):
+        VectorEnv(p3, seed=0)
+    assert p3 not in env_mod._VECTOR_TABLES
 
 
 def test_vector_token_outside_colors_rejected():

@@ -251,6 +251,47 @@ def test_act_samples_and_argmax():
     assert len(picks) == 1  # argmax is deterministic
 
 
+def _assert_same_decisions(batched, singles):
+    assert len(batched) == len(singles)
+    for (a, stored_a, k_a, logp_a, v_a), (b, stored_b, k_b, logp_b, v_b) in zip(batched, singles):
+        assert (a, k_a) == (b, k_b)
+        assert abs(logp_a - logp_b) < 1e-9 and abs(v_a - v_b) < 1e-9
+
+
+def test_graph_act_batch_matches_single_acts():
+    model = GraphActorCritic(graph_registry(build_problem("p2")), d=8,
+                             rounds=2, seed=1)
+    obs = collect_observations("p2", 1, seed=3)[:7]
+    for argmax in (False, True):
+        batched = model.act_batch(obs, np.random.default_rng(7), argmax)
+        rng = np.random.default_rng(7)
+        singles = [model.act(o, rng, argmax) for o in obs]
+        _assert_same_decisions(batched, singles)
+        assert all(d[1] is o.graph for d, o in zip(batched, obs))
+    values = model.state_values(obs)
+    assert np.abs(values - [d[4] for d in batched]).max() < 1e-9
+    assert abs(model.state_value(obs[0]) - values[0]) < 1e-9
+
+
+def test_vector_act_batch_matches_single_acts():
+    env = VectorEnv(build_problem("p1"), seed=2)
+    model = VectorActorCritic(env.obs_dim, env.n_actions, hidden=8, seed=0)
+    rng = np.random.default_rng(2)
+    obs = [env.reset()]
+    while len(obs) < 7:
+        vec, mask, _, done, _ = env.step(int(rng.choice(np.flatnonzero(obs[-1][1]))))
+        obs.append(env.reset() if done else (vec, mask))
+    for argmax in (False, True):
+        batched = model.act_batch(obs, np.random.default_rng(7), argmax)
+        rng = np.random.default_rng(7)
+        singles = [model.act(o, rng, argmax) for o in obs]
+        _assert_same_decisions(batched, singles)
+        for (_, (vec, mask), *_), (o_vec, o_mask) in zip(batched, obs):
+            assert np.array_equal(vec, o_vec) and np.array_equal(mask, o_mask)
+    values = model.state_values(obs)
+    assert np.abs(values - [d[4] for d in batched]).max() < 1e-9
+
+
 def test_graph_checkpoint_round_trip(tmp_path):
     registry = graph_registry(build_problem("p2"))
     model = GraphActorCritic(registry, d=6, rounds=2, seed=7)

@@ -7,6 +7,7 @@ import pytest
 
 import aepn.net as net_mod
 from aepn.net import (
+    AEPNError,
     LivelockError,
     NetValidationError,
     Sampler,
@@ -234,6 +235,7 @@ def test_clone_is_independent():
         {"budget": {"dist": "exponential", "rate": 0}}), "rate"),
     (lambda s: s["initial_marking"].update(ghost=[]), "unknown place"),
     (lambda s: s["places"].append({"id": "bad id", "schema": []}), "bad place id"),
+    (lambda s: s["transitions"].append({"id": "idle", "tag": "E"}), "no input places"),
 ])
 def test_validation_rejects_bad_specs(mutate, phrase):
     with open("tests/data/two_candidate_net.json", encoding="utf-8") as fh:
@@ -243,6 +245,22 @@ def test_validation_rejects_bad_specs(mutate, phrase):
     mutate(spec)
     with pytest.raises(NetValidationError, match=phrase):
         build_net(spec)
+
+
+@pytest.mark.parametrize("delay", [{"dist": "normal", "mean": 0, "std": 5}, "p.a"])
+def test_negative_delay_raises(delay):
+    # seed 4 draws -3.26 from normal(0, 5); the referenced delay p.a is -2
+    net = build_net({
+        "places": [{"id": "p", "schema": ["a"]}, {"id": "q", "schema": ["a"]}],
+        "transitions": [{"id": "t", "tag": "A"}],
+        "arcs": [{"source": "p", "target": "t"},
+                 {"source": "t", "target": "q",
+                  "expr": {"kind": "identity", "delay": delay}}],
+        "initial_marking": {"p": [{"time": 0.0, "attrs": {"a": -2.0}}]},
+        "tag": "A", "horizon": 10.0, "clock": 5.0, "seed": 4})
+    (binding,) = net.enabled_bindings("t")
+    with pytest.raises(AEPNError, match="negative delay"):
+        net.fire("t", binding)
 
 
 def test_json_round_trip_on_corpus():

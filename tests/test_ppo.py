@@ -2,7 +2,8 @@
 import numpy as np
 import pytest
 
-from aepn.env import greedy_policy
+import aepn.ppo as ppo
+from aepn.env import AssignmentEnv, VectorEnv, greedy_policy, random_policy
 from aepn.nn.models import VectorActorCritic
 from aepn.nn.optim import Adam, clip_grad_norm
 from aepn.nn.tensor import Tensor
@@ -13,12 +14,14 @@ from aepn.ppo import (
     TransitionRecord,
     _flatten,
     _make_envs,
+    _unpack_step,
     collect_rollouts,
     compute_gae,
     evaluate,
     ppo_update,
     train,
 )
+from aepn.problems import build_problem
 from helpers import brute_force_gae
 
 
@@ -120,6 +123,17 @@ def test_config_json_round_trip(tmp_path):
         PPOConfig.from_json(path)
 
 
+@pytest.mark.parametrize("num_envs,rollout", [(8, 4), (8, 20), (0, 8)])
+def test_config_rollout_must_be_a_multiple_of_num_envs(tmp_path, num_envs, rollout):
+    want = rf"rollout \({rollout}\).*num_envs \({num_envs}\)"
+    with pytest.raises(ValueError, match=want):
+        PPOConfig(num_envs=num_envs, rollout=rollout)
+    path = tmp_path / "cfg.json"
+    path.write_text(f'{{"num_envs": {num_envs}, "rollout": {rollout}}}')
+    with pytest.raises(ValueError, match=want):
+        PPOConfig.from_json(path)
+
+
 def test_flatten_scales_rewards_linearly():
     def returns_for(scale):
         buf = RolloutBuffer(1)
@@ -149,6 +163,42 @@ def test_collect_rollouts_bookkeeping():
     assert buf.last_values.tolist() == [0.0, 0.0]  # tails ended the episode
     assert len(state.finished) == 2
     assert all(1000.0 <= ret <= 2000.0 for ret in state.finished)
+
+
+def _one_env_at_a_time(state, model, cfg):
+    """Reference rollout: one ``act`` call per env per step."""
+    buf = RolloutBuffer(len(state.envs))
+    for _ in range(cfg.rollout // len(state.envs)):
+        for i, env in enumerate(state.envs):
+            env_action, stored, action, logp, value = model.act(state.obs[i], state.rng)
+            obs2, reward, done = _unpack_step(env.step(env_action))
+            buf.add(i, TransitionRecord(stored, action, logp, reward, value, done))
+            state.obs[i] = env.reset() if done else obs2
+    for i, stream in enumerate(buf.streams):
+        buf.last_values[i] = 0.0 if stream[-1].done else model.state_value(state.obs[i])
+    return buf
+
+
+@pytest.mark.parametrize("algo", ["graph", "vector"])
+def test_lock_step_rollouts_match_one_env_at_a_time(algo):
+    # 12 decisions per env and update: p2 episodes end every tenth decision,
+    # so both rollouts cross an episode end and bootstrap their tails
+    cfg = PPOConfig(num_envs=3, rollout=36, hidden=8, rounds=1, seed=5)
+    runs = []
+    for collect in (collect_rollouts, _one_env_at_a_time):
+        envs, model = _make_envs("p2", algo, cfg)
+        state = RolloutState(envs, np.random.default_rng(5))
+        runs.append([collect(state, model, cfg) for _ in range(2)])
+    for got, want in zip(*runs):
+        assert np.abs(got.last_values - want.last_values).max() < 1e-9
+        assert (got.last_values != 0).all()
+        for g_stream, w_stream in zip(got.streams, want.streams):
+            assert [r.action for r in g_stream] == [r.action for r in w_stream]
+            assert [r.reward for r in g_stream] == [r.reward for r in w_stream]
+            assert [r.done for r in g_stream] == [r.done for r in w_stream]
+            for g, w in zip(g_stream, w_stream):
+                assert abs(g.logp - w.logp) < 1e-9
+                assert abs(g.value - w.value) < 1e-9
 
 
 def test_ppo_update_reduces_value_loss():
@@ -198,6 +248,41 @@ def test_evaluate_scripted_policy_deterministic():
     assert m1 == m2 and s1 == s2 and (r1 == r2).all()
     assert m1 != m3
     assert len(r1) == 5
+
+
+def _one_episode_at_a_time(model, problem, episodes, seed, algo):
+    env = (AssignmentEnv if algo == "graph" else VectorEnv)(build_problem(problem), seed=seed)
+    rng = np.random.default_rng(seed)
+    returns = []
+    for _ in range(episodes):
+        obs, total, done = env.reset(), 0.0, False
+        while not done:
+            obs, reward, done = _unpack_step(env.step(model.act(obs, rng, argmax=True)[0]))
+            total += reward
+        returns.append(total)
+    return np.asarray(returns)
+
+
+@pytest.mark.parametrize("algo", ["graph", "vector"])
+def test_model_evaluate_matches_one_episode_at_a_time(algo, monkeypatch):
+    _, model = _make_envs("p2", algo, PPOConfig(hidden=8, rounds=1, seed=2))
+    monkeypatch.setattr(ppo, "EVAL_WAVE", 4)  # waves of 4, 4 and 2 episodes
+    _, _, got = evaluate(model, "p2", episodes=10, seed=9, algo=algo)
+    assert np.array_equal(got, _one_episode_at_a_time(model, "p2", 10, 9, algo))
+
+
+def test_scripted_evaluate_matches_pinned_returns():
+    # per-episode returns of the one-environment loop that evaluate replaced
+    pinned = {
+        (greedy_policy, "p2"): [1941.29, 2041.18, 1945.48, 1968.1999999999996],
+        (random_policy, "p2"): [1520.1999999999998, 1540.54, 1419.16,
+                                1664.6599999999999],
+        (random_policy, "p3"): [2254.8499079219964, 2191.6047321682863,
+                                2082.8522900445814, 2529.3131083017115],
+    }
+    for (policy, problem), want in pinned.items():
+        _, _, got = evaluate(policy, problem, episodes=4, seed=3)
+        assert got.tolist() == want
 
 
 def test_evaluate_p1_greedy_exact():
