@@ -253,7 +253,7 @@ def test_act_samples_and_argmax():
 
 def _assert_same_decisions(batched, singles):
     assert len(batched) == len(singles)
-    for (a, stored_a, k_a, logp_a, v_a), (b, stored_b, k_b, logp_b, v_b) in zip(batched, singles):
+    for (a, _, k_a, logp_a, v_a), (b, _, k_b, logp_b, v_b) in zip(batched, singles):
         assert (a, k_a) == (b, k_b)
         assert abs(logp_a - logp_b) < 1e-9 and abs(v_a - v_b) < 1e-9
 
