@@ -198,17 +198,18 @@ def vector_observation(net: MarkedAEPN, indexes=None) -> np.ndarray:
         raise NotRepresentableError(
             "net declares no finite color space; the fixed-length observation "
             "is not representable")
-    counts: list[float] = []
+    hits: list[int] = []
+    offset = 0
     for pid, place in net.places.items():
         buckets = net.color_spec.get(pid)
         if buckets is None:
             raise NotRepresentableError(f"place {pid!r} has no declared colors")
-        per = [0.0] * len(buckets)
         index = indexes.get(pid) if indexes else None
         for tok in place.tokens:
-            per[_bucket_index(buckets, tok, pid, index)] += 1.0
-        counts.extend(per)
-    return np.asarray(counts, dtype=np.float64)
+            hits.append(offset + _bucket_index(buckets, tok, pid, index))
+        offset += len(buckets)
+    return np.bincount(np.asarray(hits, dtype=np.intp),
+                       minlength=offset).astype(np.float64)
 
 
 def vector_action_table(template: MarkedAEPN) -> list[tuple]:

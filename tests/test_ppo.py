@@ -241,6 +241,41 @@ def test_clip_grad_norm_rescales():
     assert t.grad[0] == pytest.approx(0.1)  # below the cap: untouched
 
 
+def test_adam_matches_textbook_form_bitwise():
+    # one parameter spans several slices, one is Fortran-ordered, one goes
+    # without a gradient on some steps
+    shapes = [(150, 250), (7,), (40, 30)]
+
+    def make():
+        r = np.random.default_rng(1)
+        ps = [Tensor(r.standard_normal(s), requires_grad=True) for s in shapes]
+        ps[2].data = np.asfortranarray(ps[2].data)
+        return ps
+
+    fast, ref = make(), make()
+    opt = Adam(fast, lr=1e-2)
+    m = [np.zeros(s) for s in shapes]
+    v = [np.zeros(s) for s in shapes]
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    rng = np.random.default_rng(2)
+    for t in range(1, 7):
+        for i, (a, b) in enumerate(zip(fast, ref)):
+            g = None if (i == 1 and t % 3 == 0) else \
+                rng.standard_normal(shapes[i]) * 10.0 ** rng.integers(-5, 3)
+            a.grad, b.grad = g, g
+        opt.step()
+        for i, p in enumerate(ref):
+            if p.grad is None:
+                continue
+            g = p.grad
+            m[i] = b1 * m[i] + (1.0 - b1) * g
+            v[i] = b2 * v[i] + (1.0 - b2) * g * g
+            p.data = p.data - 1e-2 * (m[i] / (1.0 - b1 ** t)) / (
+                np.sqrt(v[i] / (1.0 - b2 ** t)) + eps)
+    for a, b in zip(fast, ref):
+        assert np.array_equal(a.data, b.data)
+
+
 def test_evaluate_scripted_policy_deterministic():
     m1, s1, r1 = evaluate(greedy_policy, "p2", episodes=5, seed=3)
     m2, s2, r2 = evaluate(greedy_policy, "p2", episodes=5, seed=3)
