@@ -8,10 +8,11 @@ between decisions; their rewards are credited to the step that triggered
 them.  Episodes end when the clock reaches the horizon.
 
 ``VectorEnv`` is the fixed-length alternative used by the flat-observation
-baseline: token counts per declared color bucket, actions indexed by bucket
-combination and resolved FIFO to the first matching enabled binding.  Nets
-without a declared finite color space cannot use it and raise
-:class:`NotRepresentableError`.
+baseline.  It reads the net's enabled bindings, not the graph: token counts
+per declared color bucket, actions indexed by bucket combination and
+resolved FIFO to the first matching enabled binding.  Nets without a
+declared finite color space cannot use it and raise
+:class:`NotRepresentableError`.  Both environments step to a :class:`StepResult`.
 """
 from __future__ import annotations
 
@@ -41,14 +42,15 @@ class Observation:
 
 @dataclass
 class StepResult:
-    observation: Observation
+    observation: Observation | tuple[np.ndarray, np.ndarray]  # graph, or (vec, mask)
     reward: float
     done: bool
     info: dict = field(default_factory=dict)
 
 
-class AssignmentEnv:
-    """Graph-observation environment over a net template."""
+class _Episode:
+    """Episode core of both environments: clone and reseed the template, run
+    to decisions, fire the chosen binding, count steps, then ``_observe``."""
 
     def __init__(self, template: MarkedAEPN, seed=None):
         self.template = template
@@ -58,9 +60,8 @@ class AssignmentEnv:
         self.done = True
         self.episode = -1
         self._step = 0
-        self.trace_rows: list[tuple] = []
 
-    def reset(self, seed=None) -> Observation:
+    def _begin(self, seed):
         self.net = self.template.clone()
         self.net.reseed(self._seeds.spawn(1)[0] if seed is None else seed)
         self.net.cum_reward = 0.0
@@ -71,30 +72,43 @@ class AssignmentEnv:
         self._obs = self._observe()
         return self._obs
 
+    def _fire(self, tid: str, binding: Binding) -> StepResult:
+        before = self.net.cum_reward
+        self.net.fire(tid, binding)
+        if not (self.net.clock < self.net.horizon and self.net.any_action_binding()):
+            self.net.run_until_decision()
+        self.done = self.net.clock >= self.net.horizon
+        self._step += 1
+        self._obs = self._observe()
+        return StepResult(self._obs, self.net.cum_reward - before, self.done,
+                          {"clock": self.net.clock, "step": self._step})
+
+
+class AssignmentEnv(_Episode):
+    """Graph-observation environment over a net template."""
+
+    def __init__(self, template: MarkedAEPN, seed=None):
+        super().__init__(template, seed)
+        self.trace_rows: list[tuple] = []
+
+    def reset(self, seed=None) -> Observation:
+        return self._begin(seed)
+
     def _observe(self) -> Observation:
         expanded, emap = expand(self.net)
         graph, prov = map_to_graph(expanded, emap)
         return Observation(graph, prov, graph.action_node_ids(), self.net.clock)
 
     def step(self, node_id: str) -> StepResult:
-        if self.done or self.net is None:
+        if self.done:
             raise AEPNError("step called on a finished episode; call reset first")
         origin = self._obs.provenance.action_origin.get(node_id)
         if origin is None:
             raise AEPNError(f"{node_id!r} is not an action node of the current observation")
-        tid, binding = origin
-        before = self.net.cum_reward
         clock = self.net.clock
-        self.net.fire(tid, binding)
-        if not (self.net.clock < self.net.horizon and self.net.any_action_binding()):
-            self.net.run_until_decision()
-        self.done = self.net.clock >= self.net.horizon
-        reward = self.net.cum_reward - before
-        self._obs = self._observe()
-        self._step += 1
-        self.trace_rows.append((self.episode, self._step, clock, node_id, reward))
-        return StepResult(self._obs, reward, self.done,
-                          {"clock": self.net.clock, "step": self._step})
+        result = self._fire(*origin)
+        self.trace_rows.append((self.episode, self._step, clock, node_id, result.reward))
+        return result
 
 
 def write_trace_csv(rows, path) -> None:
@@ -145,7 +159,7 @@ def _bucket_matches(bucket: dict, tok: Token) -> bool:
 class _ColorIndex:
     """Per-place bucket lookup: exact-valued buckets resolve by hash, the
     open (range) buckets by scan.  Returns the lowest matching index, the
-    same answer the plain scan gives."""
+    answer a first-match scan with ``_bucket_matches`` gives."""
 
     def __init__(self, buckets: list[dict]):
         self.buckets = buckets
@@ -173,23 +187,16 @@ class _ColorIndex:
             if best is not None and i > best:
                 break
             if _bucket_matches(self.buckets[i], tok):
-                best = i if best is None else min(best, i)
+                best = i
                 break
         return best
 
 
-def _bucket_index(buckets: list[dict], tok: Token, pid: str,
-                  index: _ColorIndex | None = None) -> int:
-    if index is not None:
-        hit = index.find(tok)
-        if hit is None:
-            raise NotRepresentableError(
-                f"token {tok!r} in {pid!r} matches no declared color")
-        return hit
-    for i, bucket in enumerate(buckets):
-        if _bucket_matches(bucket, tok):
-            return i
-    raise NotRepresentableError(f"token {tok!r} in {pid!r} matches no declared color")
+def _bucket_index(index: _ColorIndex, tok: Token, pid: str) -> int:
+    hit = index.find(tok)
+    if hit is None:
+        raise NotRepresentableError(f"token {tok!r} in {pid!r} matches no declared color")
+    return hit
 
 
 def vector_observation(net: MarkedAEPN, indexes=None) -> np.ndarray:
@@ -198,16 +205,17 @@ def vector_observation(net: MarkedAEPN, indexes=None) -> np.ndarray:
         raise NotRepresentableError(
             "net declares no finite color space; the fixed-length observation "
             "is not representable")
+    if indexes is None:
+        indexes = {pid: _ColorIndex(b) for pid, b in net.color_spec.items()}
     hits: list[int] = []
     offset = 0
     for pid, place in net.places.items():
-        buckets = net.color_spec.get(pid)
-        if buckets is None:
+        index = indexes.get(pid)
+        if index is None:
             raise NotRepresentableError(f"place {pid!r} has no declared colors")
-        index = indexes.get(pid) if indexes else None
         for tok in place.tokens:
-            hits.append(offset + _bucket_index(buckets, tok, pid, index))
-        offset += len(buckets)
+            hits.append(offset + _bucket_index(index, tok, pid))
+        offset += len(index.buckets)
     return np.bincount(np.asarray(hits, dtype=np.intp),
                        minlength=offset).astype(np.float64)
 
@@ -243,45 +251,37 @@ def _vector_tables(template: MarkedAEPN) -> tuple:
     return tables
 
 
-class VectorEnv:
-    """Count-vector view of :class:`AssignmentEnv` with bucket-indexed actions."""
+class VectorEnv(_Episode):
+    """``(vec, mask)`` view of the net's marking and enabled bindings; no graph."""
 
     def __init__(self, template: MarkedAEPN, seed=None):
-        self.env = AssignmentEnv(template, seed)
         self.actions, self._index, self._color_index = _vector_tables(template)
+        super().__init__(template, seed)
         self.n_actions = len(self.actions)
         self.obs_dim = sum(len(b) for b in template.color_spec.values())
 
-    @property
-    def done(self) -> bool:
-        return self.env.done
-
-    def _snapshot(self):
-        vec = vector_observation(self.env.net, self._color_index)
+    def _observe(self):
+        vec = vector_observation(self.net, self._color_index)
         mask = np.zeros(self.n_actions, dtype=bool)
-        self._node_for: dict[int, str] = {}
-        obs = self.env._obs
-        spec = self.env.net.color_spec
-        for nid in obs.action_node_ids:
-            tid, binding = obs.provenance.action_origin[nid]
-            key = (tid, tuple((pid, _bucket_index(spec[pid], tok, pid,
-                                                  self._color_index[pid]))
-                              for pid, tok in sorted(binding.assignments.items())))
+        self._binding_for: dict[int, tuple[str, Binding]] = {}
+        # net order, then enumeration order: the order of expand's action copies
+        for tr, binding in self.net.action_bindings():
+            key = (tr.id, tuple((pid, _bucket_index(self._color_index[pid], tok, pid))
+                                for pid, tok in sorted(binding.assignments.items())))
             idx = self._index[key]
             if not mask[idx]:
                 # FIFO: the first enabled binding claims the bucket combination
                 mask[idx] = True
-                self._node_for[idx] = nid
+                self._binding_for[idx] = (tr.id, binding)
         return vec, mask
 
     def reset(self, seed=None):
-        self.env.reset(seed)
-        return self._snapshot()
+        return self._begin(seed)
 
-    def step(self, action: int):
-        node = self._node_for.get(int(action))
-        if node is None:
+    def step(self, action: int) -> StepResult:
+        if self.done:
+            raise AEPNError("step called on a finished episode; call reset first")
+        origin = self._binding_for.get(int(action))
+        if origin is None:
             raise AEPNError(f"vector action {action} is not enabled")
-        result = self.env.step(node)
-        vec, mask = self._snapshot()
-        return vec, mask, result.reward, result.done, result.info
+        return self._fire(*origin)

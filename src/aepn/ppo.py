@@ -14,13 +14,14 @@ vector observation interfaces because both models expose
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import time
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .env import AssignmentEnv, VectorEnv, StepResult
+from .env import AssignmentEnv, VectorEnv
 from .nn.models import (GraphActorCritic, VectorActorCritic, graph_registry,
                         save_checkpoint)
 from .nn.optim import Adam, clip_grad_norm
@@ -112,13 +113,6 @@ class RolloutState:
         self.finished: list[float] = []
 
 
-def _unpack_step(out):
-    if isinstance(out, StepResult):
-        return out.observation, out.reward, out.done
-    vec, mask, reward, done, _ = out
-    return (vec, mask), reward, done
-
-
 def collect_rollouts(state: RolloutState, model, cfg: PPOConfig) -> RolloutBuffer:
     """Gather cfg.rollout decisions, stepping the environments in lock step.
 
@@ -131,14 +125,13 @@ def collect_rollouts(state: RolloutState, model, cfg: PPOConfig) -> RolloutBuffe
         decisions = model.act_batch(state.obs, state.rng)
         for i, (env, decision) in enumerate(zip(envs, decisions)):
             env_action, stored, action, logp, value = decision
-            obs2, reward, done = _unpack_step(env.step(env_action))
-            buf.add(i, TransitionRecord(stored, action, logp, reward, value, done))
-            state.ep_return[i] += reward
-            if done:
+            res = env.step(env_action)
+            buf.add(i, TransitionRecord(stored, action, logp, res.reward, value, res.done))
+            state.ep_return[i] += res.reward
+            if res.done:
                 state.finished.append(state.ep_return[i])
                 state.ep_return[i] = 0.0
-                obs2 = env.reset()
-            state.obs[i] = obs2
+            state.obs[i] = env.reset() if res.done else res.observation
     live = [i for i, stream in enumerate(buf.streams) if not stream[-1].done]
     if live:
         buf.last_values[live] = model.state_values([state.obs[i] for i in live])
@@ -221,8 +214,13 @@ def ppo_update(model, opt: Adam, buf: RolloutBuffer, cfg: PPOConfig, rng) -> dic
     return stats
 
 
+# one template per problem and process: environments only clone it, so every
+# VectorEnv over a problem shares its per-template tables
+_template = functools.lru_cache(maxsize=None)(build_problem)
+
+
 def _make_envs(problem: str, algo: str, cfg: PPOConfig):
-    net = build_problem(problem)
+    net = _template(problem)
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.num_envs)
     if algo == "graph":
         envs = [AssignmentEnv(net, seed=s) for s in seeds]
@@ -247,7 +245,7 @@ def evaluate(model, problem: str, episodes: int = 200, seed: int = 0,
     callable (observation, rng) -> action for the scripted baselines;
     those play one episode at a time on the graph interface.
     """
-    net = build_problem(problem)
+    net = _template(problem)
     rng = np.random.default_rng(seed)
     seeds = np.random.SeedSequence(seed).spawn(episodes)
     if callable(model) and not hasattr(model, "act"):
@@ -267,8 +265,9 @@ def evaluate(model, problem: str, episodes: int = 200, seed: int = 0,
         while live:
             actions = choose([obs[i] for i in live])
             for i, action in zip(live, actions):
-                obs[i], reward, _ = _unpack_step(envs[i].step(action))
-                totals[i] += reward
+                res = envs[i].step(action)
+                obs[i] = res.observation
+                totals[i] += res.reward
             live = [i for i in live if not envs[i].done]
         returns.extend(totals)
     returns = np.asarray(returns)

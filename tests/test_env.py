@@ -8,12 +8,15 @@ import aepn.env as env_mod
 from aepn.env import (
     AssignmentEnv,
     NotRepresentableError,
+    StepResult,
     VectorEnv,
     greedy_policy,
     random_policy,
     vector_action_table,
     vector_observation,
     write_trace_csv,
+    _bucket_matches,
+    _ColorIndex,
 )
 from aepn.net import AEPNError, Token, build_net
 from aepn.problems import build_problem
@@ -199,8 +202,9 @@ def test_vector_env_episode_matches_graph_env():
     done = False
     while not done:
         idx = int(np.flatnonzero(mask)[-1])  # waiting bucket 1 = budget 200
-        vec, mask, reward, done, info = tv.step(idx)
-        total += reward
+        res = tv.step(idx)
+        (vec, mask), done = res.observation, res.done
+        total += res.reward
     assert total == 2000.0
 
 
@@ -210,7 +214,8 @@ def test_vector_env_disabled_action_raises():
     assert mask.all()
     done = False
     while not done:
-        _, mask, _, done, _ = tv.step(int(np.flatnonzero(mask)[0]))
+        res = tv.step(int(np.flatnonzero(mask)[0]))
+        (_, mask), done = res.observation, res.done
     with pytest.raises(AEPNError):
         tv.step(0)
 
@@ -219,3 +224,91 @@ def test_vector_action_table_layout():
     table = vector_action_table(build_problem("p1"))
     assert table == [("start", (("resources", 0), ("waiting", 0))),
                      ("start", (("resources", 0), ("waiting", 1)))]
+
+
+def test_step_outside_an_episode_raises_on_both_envs():
+    for env, action in ((AssignmentEnv(build_problem("p1"), seed=0), "start#0"),
+                        (VectorEnv(build_problem("p1"), seed=0), 0)):
+        with pytest.raises(AEPNError, match="finished episode"):
+            env.step(action)  # before reset
+        env.reset()
+        while not env.done:
+            res = env.step(action)
+            assert isinstance(res, StepResult)
+        with pytest.raises(AEPNError, match="finished episode"):
+            env.step(action)  # after the horizon
+
+
+@pytest.mark.parametrize("problem", ["p1", "p2"])
+def test_vector_view_equals_graph_provenance_definition(problem):
+    # the vector view reads the net's enabled bindings; its old definition
+    # keyed the action nodes of the graph view through their provenance.
+    # p1 queues many same-colored tasks, so the FIFO claim is exercised
+    template = build_problem(problem, horizon=15.0)
+    for seed in range(3):
+        tv, ta = VectorEnv(template, seed=seed), AssignmentEnv(template, seed=seed)
+        colors = tv._color_index
+
+        def key(nid):
+            tid, binding = obs.provenance.action_origin[nid]
+            return (tid, tuple((pid, colors[pid].find(tok))
+                               for pid, tok in sorted(binding.assignments.items())))
+
+        rng = np.random.default_rng(seed)
+        for _ in range(2):
+            (vec, mask), obs = tv.reset(), ta.reset()
+            while True:
+                keys = [key(nid) for nid in obs.action_node_ids]
+                assert set(np.flatnonzero(mask)) == {tv._index[k] for k in keys}
+                assert np.array_equal(vec, vector_observation(ta.net, colors))
+                assert np.array_equal(vec, vector_observation(tv.net, colors))
+                k = int(rng.choice(np.flatnonzero(mask)))
+                nid = obs.action_node_ids[keys.index(tv.actions[k])]
+                want_tid, want = obs.provenance.action_origin[nid]
+                tid, binding = tv._binding_for[k]
+                assert (tid, binding.value_key()) == (want_tid, want.value_key())
+                rv, ra = tv.step(k), ta.step(nid)
+                assert (rv.reward, rv.done, rv.info) == (ra.reward, ra.done, ra.info)
+                if rv.done:
+                    break
+                (vec, mask), obs = rv.observation, ra.observation
+
+
+def test_color_index_matches_first_match_scan():
+    rng = np.random.default_rng(0)
+    values = [0.0, 1.0, 2.0, 3.0]
+
+    def random_bucket():
+        kind = rng.integers(4)
+        if kind == 0:
+            return {}
+        bucket = {}
+        for attr in rng.permutation(["a", "b"])[:rng.integers(1, 3)]:
+            if kind == 1 or (kind == 3 and rng.random() < 0.5):
+                bucket[str(attr)] = float(rng.choice(values))
+            else:
+                lo = float(rng.choice(values))
+                bucket[str(attr)] = {"min": lo, "max": lo + float(rng.integers(1, 3))}
+        return bucket
+
+    def exact(bucket):
+        return not any(isinstance(v, dict) for v in bucket.values())
+
+    misses = ranged_first = 0
+    for _ in range(300):
+        buckets = [random_bucket() for _ in range(rng.integers(1, 7))]
+        if rng.random() < 0.5:
+            buckets = [b for b in buckets if b != {}]  # let some tokens miss
+        index = _ColorIndex(buckets)
+        for _ in range(40):
+            attrs = {attr: float(rng.choice(values + [0.5, 2.5, 4.0]))
+                     for attr in ("a", "b") if rng.random() < 0.8}
+            tok = Token(attrs)
+            want = next((i for i, b in enumerate(buckets) if _bucket_matches(b, tok)),
+                        None)
+            assert index.find(tok) == want, (buckets, attrs)
+            misses += want is None
+            # a range bucket listed before an exact one that also matches
+            ranged_first += want is not None and not exact(buckets[want]) and any(
+                exact(b) and _bucket_matches(b, tok) for b in buckets[want + 1:])
+    assert misses > 100 and ranged_first > 100

@@ -279,8 +279,8 @@ def test_vector_act_batch_matches_single_acts():
     rng = np.random.default_rng(2)
     obs = [env.reset()]
     while len(obs) < 7:
-        vec, mask, _, done, _ = env.step(int(rng.choice(np.flatnonzero(obs[-1][1]))))
-        obs.append(env.reset() if done else (vec, mask))
+        res = env.step(int(rng.choice(np.flatnonzero(obs[-1][1]))))
+        obs.append(env.reset() if res.done else res.observation)
     for argmax in (False, True):
         batched = model.act_batch(obs, np.random.default_rng(7), argmax)
         rng = np.random.default_rng(7)

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+import aepn.env as env_mod
 import aepn.ppo as ppo
 from aepn.env import AssignmentEnv, VectorEnv, greedy_policy, random_policy
 from aepn.nn.models import VectorActorCritic
@@ -14,7 +15,6 @@ from aepn.ppo import (
     TransitionRecord,
     _flatten,
     _make_envs,
-    _unpack_step,
     collect_rollouts,
     compute_gae,
     evaluate,
@@ -171,9 +171,9 @@ def _one_env_at_a_time(state, model, cfg):
     for _ in range(cfg.rollout // len(state.envs)):
         for i, env in enumerate(state.envs):
             env_action, stored, action, logp, value = model.act(state.obs[i], state.rng)
-            obs2, reward, done = _unpack_step(env.step(env_action))
-            buf.add(i, TransitionRecord(stored, action, logp, reward, value, done))
-            state.obs[i] = env.reset() if done else obs2
+            res = env.step(env_action)
+            buf.add(i, TransitionRecord(stored, action, logp, res.reward, value, res.done))
+            state.obs[i] = env.reset() if res.done else res.observation
     for i, stream in enumerate(buf.streams):
         buf.last_values[i] = 0.0 if stream[-1].done else model.state_value(state.obs[i])
     return buf
@@ -292,8 +292,9 @@ def _one_episode_at_a_time(model, problem, episodes, seed, algo):
     for _ in range(episodes):
         obs, total, done = env.reset(), 0.0, False
         while not done:
-            obs, reward, done = _unpack_step(env.step(model.act(obs, rng, argmax=True)[0]))
-            total += reward
+            res = env.step(model.act(obs, rng, argmax=True)[0])
+            obs, done = res.observation, res.done
+            total += res.reward
         returns.append(total)
     return np.asarray(returns)
 
@@ -318,6 +319,21 @@ def test_scripted_evaluate_matches_pinned_returns():
     for (policy, problem), want in pinned.items():
         _, _, got = evaluate(policy, problem, episodes=4, seed=3)
         assert got.tolist() == want
+
+
+def test_vector_evaluate_builds_tables_once_per_problem(monkeypatch):
+    calls = []
+    table = env_mod.vector_action_table
+    monkeypatch.setattr(env_mod, "vector_action_table",
+                        lambda template: calls.append(1) or table(template))
+    ppo._template.cache_clear()
+    env = VectorEnv(build_problem("p2"), seed=0)
+    model = VectorActorCritic(env.obs_dim, env.n_actions, hidden=8, seed=0)
+    calls.clear()
+    first = evaluate(model, "p2", episodes=2, seed=1, algo="vector")
+    second = evaluate(model, "p2", episodes=2, seed=1, algo="vector")
+    assert len(calls) == 1
+    assert first[0] == second[0]
 
 
 def test_evaluate_p1_greedy_exact():

@@ -1,0 +1,94 @@
+"""Equivalence digest: three SHA-256 fingerprints of fixed p2 workloads.
+
+    python3 tools/digest.py
+
+Run from the repository root; ``aepn`` is imported from ``src/``.  It
+prints one digest per line:
+
+* ``ppo-graph``: two PPO updates on p2 at seed 5 (``PPOConfig`` defaults)
+  on the graph interface, then a 20-episode argmax ``evaluate``;
+* ``ppo-vector``: the same on the vector interface;
+* ``greedy``: one greedy p2 episode at horizon 200, then a 50-episode
+  greedy ``evaluate`` at the default horizon.
+
+Each PPO digest hashes the rollout actions, log-probabilities, values,
+rewards and done flags, the tail values, the final parameters and the
+evaluation returns.  The greedy digest hashes the episode's trace rows and
+the evaluation returns.  A change that claims identical behaviour prints
+the same three lines before and after.  Training digests depend on the
+BLAS thread count, so the script pins it to one thread before numpy loads.
+This is a report, not a gate: no expected digest is stored anywhere.
+"""
+from __future__ import annotations
+
+import hashlib
+import os
+import sys
+from pathlib import Path
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+import numpy as np  # noqa: E402
+
+from aepn import env as env_mod, ppo  # noqa: E402
+from aepn.nn.optim import Adam  # noqa: E402
+from aepn.problems import build_problem  # noqa: E402
+
+SEED = 5
+UPDATES = 2
+EVAL_EPISODES = 20
+GREEDY_HORIZON = 200.0
+GREEDY_EVAL_EPISODES = 50
+
+
+def _feed(h, *arrays) -> None:
+    for a in arrays:
+        h.update(np.ascontiguousarray(np.asarray(a, dtype=np.float64)).tobytes())
+
+
+def ppo_digest(algo: str) -> str:
+    cfg = ppo.PPOConfig(seed=SEED)
+    envs, model = ppo._make_envs("p2", algo, cfg)
+    opt = Adam(model.parameters(), lr=cfg.lr)
+    master = np.random.default_rng(np.random.SeedSequence((cfg.seed, 1)))
+    state = ppo.RolloutState(envs, master)
+    h = hashlib.sha256()
+    for _ in range(UPDATES):
+        buf = ppo.collect_rollouts(state, model, cfg)
+        for stream in buf.streams:
+            _feed(h, [r.action for r in stream], [r.logp for r in stream],
+                  [r.value for r in stream], [r.reward for r in stream],
+                  [r.done for r in stream])
+        _feed(h, buf.last_values)
+        ppo.ppo_update(model, opt, buf, cfg, master)
+    _feed(h, *(p.data for p in model.parameters()))
+    _, _, returns = ppo.evaluate(model, "p2", episodes=EVAL_EPISODES,
+                                 seed=cfg.seed + 977, argmax=True, algo=algo)
+    _feed(h, returns)
+    return h.hexdigest()
+
+
+def greedy_digest() -> str:
+    env = env_mod.AssignmentEnv(build_problem("p2", horizon=GREEDY_HORIZON),
+                                seed=SEED)
+    obs = env.reset()
+    while not env.done:
+        obs = env.step(env_mod.greedy_policy(obs)).observation
+    h = hashlib.sha256(repr(env.trace_rows).encode())
+    _, _, returns = ppo.evaluate(env_mod.greedy_policy, "p2",
+                                 episodes=GREEDY_EVAL_EPISODES, seed=SEED)
+    _feed(h, returns)
+    return h.hexdigest()
+
+
+def main() -> None:
+    print(f"ppo-graph   {ppo_digest('graph')}", flush=True)
+    print(f"ppo-vector  {ppo_digest('vector')}", flush=True)
+    print(f"greedy      {greedy_digest()}", flush=True)
+
+
+if __name__ == "__main__":
+    main()
