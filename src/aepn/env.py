@@ -7,6 +7,13 @@ source transition.  Evolution firings and clock advances run automatically
 between decisions; their rewards are credited to the step that triggered
 them.  Episodes end when the clock reaches the horizon.
 
+Decision protocol of both environments: ``step`` fires one
+``(tid, binding)``; the agent keeps the turn while action bindings remain,
+otherwise ``run_until_decision`` moves on to the next decision.  Its action
+pairs go to ``_observe``: ``VectorEnv`` masks them, ``AssignmentEnv``
+rebuilds them through ``expand``, the paper's reference construction.  The
+terminal observation still shows the bindings enabled at the horizon.
+
 ``VectorEnv`` is the fixed-length alternative used by the flat-observation
 baseline.  It reads the net's enabled bindings, not the graph: token counts
 per declared color bucket, actions indexed by bucket combination and
@@ -65,21 +72,21 @@ class _Episode:
         self.net = self.template.clone()
         self.net.reseed(self._seeds.spawn(1)[0] if seed is None else seed)
         self.net.cum_reward = 0.0
-        self.net.run_until_decision()
+        pairs = self.net.run_until_decision()
         self.done = self.net.clock >= self.net.horizon
         self.episode += 1
         self._step = 0
-        self._obs = self._observe()
+        self._obs = self._observe(pairs)
         return self._obs
 
     def _fire(self, tid: str, binding: Binding) -> StepResult:
         before = self.net.cum_reward
         self.net.fire(tid, binding)
-        if not (self.net.clock < self.net.horizon and self.net.any_action_binding()):
-            self.net.run_until_decision()
+        # the agent keeps the turn while action bindings remain
+        pairs = self.net.enabled_pairs(TAG_ACTION) or self.net.run_until_decision()
         self.done = self.net.clock >= self.net.horizon
         self._step += 1
-        self._obs = self._observe()
+        self._obs = self._observe(pairs)
         return StepResult(self._obs, self.net.cum_reward - before, self.done,
                           {"clock": self.net.clock, "step": self._step})
 
@@ -94,7 +101,8 @@ class AssignmentEnv(_Episode):
     def reset(self, seed=None) -> Observation:
         return self._begin(seed)
 
-    def _observe(self) -> Observation:
+    def _observe(self, pairs) -> Observation:
+        # expand enumerates the bindings itself: it is the reference construction
         expanded, emap = expand(self.net)
         graph, prov = map_to_graph(expanded, emap)
         return Observation(graph, prov, graph.action_node_ids(), self.net.clock)
@@ -260,12 +268,16 @@ class VectorEnv(_Episode):
         self.n_actions = len(self.actions)
         self.obs_dim = sum(len(b) for b in template.color_spec.values())
 
-    def _observe(self):
+    def _observe(self, pairs):
         vec = vector_observation(self.net, self._color_index)
         mask = np.zeros(self.n_actions, dtype=bool)
         self._binding_for: dict[int, tuple[str, Binding]] = {}
+        if self.done:
+            # the terminal mask shows the bindings enabled at the horizon, as
+            # the graph does; run_until_decision hands none down there
+            pairs = self.net.enabled_pairs(TAG_ACTION)
         # net order, then enumeration order: the order of expand's action copies
-        for tr, binding in self.net.action_bindings():
+        for tr, binding in pairs:
             key = (tr.id, tuple((pid, _bucket_index(self._color_index[pid], tok, pid))
                                 for pid, tok in sorted(binding.assignments.items())))
             idx = self._index[key]

@@ -56,9 +56,8 @@ class AssignmentGraph:
 
 @dataclass
 class NodeProvenance:
-    """Node id -> expanded element id, and for action nodes the source binding."""
+    """Action node id -> source transition id and binding."""
 
-    element: dict[str, str] = field(default_factory=dict)
     action_origin: dict[str, tuple[str, Binding]] = field(default_factory=dict)
 
 
@@ -108,18 +107,15 @@ def map_to_graph(expanded: MarkedAEPN,
         attrs = (tok.time - expanded.clock,
                  *(tok.attrs[a] for a in place.schema))
         nodes.append(GraphNode(pid, place_type(place.schema), attrs))
-        prov.element[pid] = pid
         present.add(pid)
     for tid, tr in expanded.transitions.items():
         if tr.tag != TAG_EVOLUTION:
             nodes.append(GraphNode(tid, A_TRANSITION, ()))
-            prov.element[tid] = tid
             if emap is not None and tid in emap.action_origin:
                 prov.action_origin[tid] = emap.action_origin[tid]
     for tid, tr in expanded.transitions.items():
         if tr.tag == TAG_EVOLUTION:
             nodes.append(GraphNode(tid, E_TRANSITION, ()))
-            prov.element[tid] = tid
 
     edges: list[tuple[str, str]] = []
     for arc in expanded.arcs:

@@ -8,6 +8,12 @@ bindings.  A binding selects one token per input place (every transition
 needs at least one); it is enabled when every chosen token's availability
 time is at or before the global clock and the transition guard holds.
 
+One walk over a transition's token combinations serves both enabling and
+clock scheduling; ``enabled_pairs(tag)`` enumerates a phase's enabled
+``(transition, binding)`` pairs.  ``run_until_decision`` returns the action
+pairs of the decision it stops at, and ``[]`` at the horizon, although
+bindings may still be enabled at ``clock == horizon``.
+
 Guards, rewards and output-arc expressions use a small declarative form so
 nets round-trip through JSON without any code execution:
 
@@ -87,6 +93,15 @@ class Token:
         return f"Token(t={self.time:g}, {inner})"
 
 
+# JSON parameter names of each distribution, in ``Sampler.params`` order
+_SAMPLER_PARAMS = {
+    "constant": ("value",),
+    "uniform": ("low", "high"),
+    "normal": ("mean", "std"),
+    "exponential": ("rate",),
+}
+
+
 @dataclass(frozen=True)
 class Sampler:
     """Distribution spec for sampled attribute values and delays."""
@@ -121,19 +136,11 @@ class Sampler:
         if not isinstance(spec, dict):
             raise NetValidationError(f"bad sampler spec: {spec!r}")
         dist = spec.get("dist", "constant")
-        if dist == "constant":
-            params = (float(spec["value"]),)
-        elif dist == "uniform":
-            params = (float(spec["low"]), float(spec["high"]))
-        elif dist == "normal":
-            params = (float(spec["mean"]), float(spec["std"]))
-        elif dist == "exponential":
-            rate = float(spec["rate"])
-            if rate <= 0:
-                raise NetValidationError("exponential rate must be positive")
-            params = (rate,)
-        else:
+        if dist not in _SAMPLER_PARAMS:
             raise NetValidationError(f"unknown distribution {dist!r}")
+        params = tuple(float(spec[name]) for name in _SAMPLER_PARAMS[dist])
+        if dist == "exponential" and params[0] <= 0:
+            raise NetValidationError("exponential rate must be positive")
         rnd = spec.get("round")
         return Sampler(dist, params, None if rnd is None else int(rnd),
                        bool(spec.get("plus_clock", False)))
@@ -141,15 +148,8 @@ class Sampler:
     def to_json(self):
         if self.dist == "constant" and self.round_to is None and not self.plus_clock:
             return self.params[0]
-        out: dict = {"dist": self.dist}
-        if self.dist == "constant":
-            out["value"] = self.params[0]
-        elif self.dist == "uniform":
-            out["low"], out["high"] = self.params
-        elif self.dist == "normal":
-            out["mean"], out["std"] = self.params
-        elif self.dist == "exponential":
-            out["rate"] = self.params[0]
+        out: dict = {"dist": self.dist,
+                     **dict(zip(_SAMPLER_PARAMS[self.dist], self.params))}
         if self.round_to is not None:
             out["round"] = self.round_to
         if self.plus_clock:
@@ -459,47 +459,45 @@ class MarkedAEPN:
 
     # -- semantics ---------------------------------------------------------
 
-    def _by_origin(self, binding: Binding) -> dict[str, Token]:
-        return {self.places[pid].origin: tok for pid, tok in binding.assignments.items()}
+    def _walk(self, tr: Transition, after: float,
+              until: float) -> list[tuple[float, tuple[Token, ...]]]:
+        """The one walk over ``tr``'s token combinations.
+
+        Returns ``(t, combo)`` for every combination of one token per input
+        place whose enabling time ``t`` (its latest token) lies in
+        ``(after, until]`` and whose guard holds at ``max(t, clock)``, the
+        time the combination becomes enabled.  Order: input places sorted by
+        id, token choices in insertion order, combinations lexicographic.
+        """
+        pools = [self.places[p].tokens for p in self._in[tr.id]]
+        # a parallel product of plain floats lets max() run without a
+        # Python-level loop per combination
+        times = [[tok.time for tok in pool] for pool in pools]
+        timed = [(t, combo) for combo, ts in zip(itertools.product(*pools),
+                                                 itertools.product(*times))
+                 if after < (t := max(ts)) <= until]
+        if tr.guard is None:
+            return timed
+        origins = [self.places[p].origin for p in self._in[tr.id]]
+        return [(t, combo) for t, combo in timed
+                if tr.guard.evaluate(dict(zip(origins, combo)), max(t, self.clock))]
 
     def enabled_bindings(self, tr: Transition | str) -> list[Binding]:
-        """All bindings of ``tr`` enabled at the current clock.
-
-        Deterministic order: input places sorted by id, token choices in
-        insertion order, combinations lexicographic.
-        """
+        """All bindings of ``tr`` enabled at the current clock, in walk order."""
         if isinstance(tr, str):
             tr = self.transitions[tr]
         pids = self._in[tr.id]
-        if not pids:
-            return []
-        pools = [self.places[p].tokens for p in pids]
-        if any(not pool for pool in pools):
-            return []
-        out = []
-        for combo in itertools.product(*pools):
-            t_enable = max(tok.time for tok in combo)
-            if t_enable > self.clock:
-                continue
-            binding = Binding(dict(zip(pids, combo)), t_enable)
-            if tr.guard is not None and not tr.guard.evaluate(
-                    self._by_origin(binding), self.clock):
-                continue
-            out.append(binding)
-        return out
+        return [Binding(dict(zip(pids, combo)), t)
+                for t, combo in self._walk(tr, -math.inf, self.clock)]
 
-    def action_bindings(self) -> list[tuple[Transition, Binding]]:
-        out = []
-        for tr in self.transitions.values():
-            if tr.tag == TAG_ACTION:
-                out.extend((tr, b) for b in self.enabled_bindings(tr))
-        return out
+    def enabled_pairs(self, tag: str) -> list[tuple[Transition, Binding]]:
+        """Enabled ``(transition, binding)`` pairs of every ``tag`` transition.
 
-    def any_action_binding(self) -> bool:
-        for tr in self.transitions.values():
-            if tr.tag == TAG_ACTION and self.enabled_bindings(tr):
-                return True
-        return False
+        Transitions in net order, bindings in :meth:`enabled_bindings` order:
+        the evolution draw order and the order of ``expand``'s action copies.
+        """
+        return [(tr, b) for tr in self.transitions.values() if tr.tag == tag
+                for b in self.enabled_bindings(tr)]
 
     def fire(self, tr: Transition | str, binding: Binding) -> float:
         """Fire ``tr`` under ``binding``; returns the reward delta."""
@@ -511,7 +509,8 @@ class MarkedAEPN:
             place = self.places.get(pid)
             if place is None or not any(t is tok for t in place.tokens):
                 raise StaleBindingError(f"binding token for place {pid!r} is gone")
-        by_origin = self._by_origin(binding)
+        by_origin = {self.places[pid].origin: tok
+                     for pid, tok in binding.assignments.items()}
         for pid, tok in binding.assignments.items():
             self.places[pid].tokens.remove(tok)
         for arc in self._out[tr.id]:
@@ -525,53 +524,38 @@ class MarkedAEPN:
         self.cum_reward += delta
         return delta
 
-    def _evolution_pairs(self) -> list[tuple[Transition, Binding]]:
-        out = []
-        for tr in self.transitions.values():
-            if tr.tag == TAG_EVOLUTION:
-                out.extend((tr, b) for b in self.enabled_bindings(tr))
-        return out
-
     def clock_advance_target(self) -> float:
         """Earliest future time at which some transition becomes enabled.
 
-        Considers every combination of input tokens; a combination counts if
-        its enabling time lies in the future and the guard holds when the
-        clock is moved there.  Returns ``inf`` when nothing is pending.
+        A token combination counts if its enabling time lies in the future
+        and the guard holds when the clock is moved there; combinations
+        later than the best time found so far are skipped before their guard
+        is tested.  Returns ``inf`` when nothing is pending.
         """
         best = math.inf
         for tr in self.transitions.values():
-            pids = self._in[tr.id]
-            if not pids:
-                continue
-            pools = [self.places[p].tokens for p in pids]
-            if any(not pool for pool in pools):
-                continue
-            for combo in itertools.product(*pools):
-                t = max(tok.time for tok in combo)
-                if t <= self.clock or t >= best:
-                    continue
-                if tr.guard is not None:
-                    by_origin = {self.places[p].origin: tok
-                                 for p, tok in zip(pids, combo)}
-                    if not tr.guard.evaluate(by_origin, t):
-                        continue
-                best = t
+            best = min([t for t, _ in self._walk(tr, self.clock, best)], default=best)
         return best
 
-    def run_until_decision(self) -> None:
+    def run_until_decision(self) -> list[tuple[Transition, Binding]]:
         """Advance the net to the next decision point or to the horizon.
 
         Evolution transitions fire (uniformly at random among enabled pairs)
         until quiescent at the current clock, then the tag flips to Action if
         any action binding exists; otherwise the clock jumps to the earliest
         future enabling time.  Past the horizon the net simply stops.
+
+        Returns the decision's action pairs, ``enabled_pairs(TAG_ACTION)``
+        at the clock it stops on.  The horizon is no decision: there it
+        returns ``[]`` without enumerating, although bindings may be enabled
+        at ``clock == horizon``; a caller that shows them asks
+        :meth:`enabled_pairs`.
         """
         fired_here = 0
         while True:
             if self.clock >= self.horizon:
-                return
-            evo = self._evolution_pairs()
+                return []
+            evo = self.enabled_pairs(TAG_EVOLUTION)
             if evo:
                 self.tag = TAG_EVOLUTION
                 tr, binding = evo[int(self.rng.integers(len(evo)))]
@@ -581,13 +565,14 @@ class MarkedAEPN:
                     raise LivelockError(
                         f"{fired_here} evolution firings at clock {self.clock:g}")
                 continue
-            if self.any_action_binding():
+            pairs = self.enabled_pairs(TAG_ACTION)
+            if pairs:
                 self.tag = TAG_ACTION
-                return
+                return pairs
             target = self.clock_advance_target()
             if not math.isfinite(target) or target >= self.horizon:
                 self.clock = self.horizon
-                return
+                return []
             self.tag = TAG_EVOLUTION
             self.clock = target
             fired_here = 0

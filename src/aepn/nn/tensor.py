@@ -65,9 +65,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def _accum(self, g: np.ndarray) -> None:
         self.grad = g if self.grad is None else self.grad + g
 

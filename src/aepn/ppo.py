@@ -98,9 +98,6 @@ class RolloutBuffer:
     def __len__(self) -> int:
         return sum(len(s) for s in self.streams)
 
-    def reward_total(self) -> float:
-        return sum(r.reward for s in self.streams for r in s)
-
 
 class RolloutState:
     """Current observation and return accumulator of each persistent env."""

@@ -245,6 +245,7 @@ def test_vector_view_equals_graph_provenance_definition(problem):
     # keyed the action nodes of the graph view through their provenance.
     # p1 queues many same-colored tasks, so the FIFO claim is exercised
     template = build_problem(problem, horizon=15.0)
+    terminal_actions = 0
     for seed in range(3):
         tv, ta = VectorEnv(template, seed=seed), AssignmentEnv(template, seed=seed)
         colors = tv._color_index
@@ -258,10 +259,15 @@ def test_vector_view_equals_graph_provenance_definition(problem):
         for _ in range(2):
             (vec, mask), obs = tv.reset(), ta.reset()
             while True:
+                # also at the terminal observation, which shows the bindings
+                # enabled at the horizon
                 keys = [key(nid) for nid in obs.action_node_ids]
                 assert set(np.flatnonzero(mask)) == {tv._index[k] for k in keys}
                 assert np.array_equal(vec, vector_observation(ta.net, colors))
                 assert np.array_equal(vec, vector_observation(tv.net, colors))
+                if tv.done:
+                    terminal_actions += bool(keys)
+                    break
                 k = int(rng.choice(np.flatnonzero(mask)))
                 nid = obs.action_node_ids[keys.index(tv.actions[k])]
                 want_tid, want = obs.provenance.action_origin[nid]
@@ -269,9 +275,8 @@ def test_vector_view_equals_graph_provenance_definition(problem):
                 assert (tid, binding.value_key()) == (want_tid, want.value_key())
                 rv, ra = tv.step(k), ta.step(nid)
                 assert (rv.reward, rv.done, rv.info) == (ra.reward, ra.done, ra.info)
-                if rv.done:
-                    break
                 (vec, mask), obs = rv.observation, ra.observation
+    assert terminal_actions > 0
 
 
 def test_color_index_matches_first_match_scan():

@@ -12,10 +12,12 @@ from aepn.net import (
     NetValidationError,
     Sampler,
     StaleBindingError,
+    TAG_ACTION,
     TagMismatchError,
     build_net,
     net_to_json,
 )
+from aepn.problems import build_problem
 from helpers import random_marked_net
 
 
@@ -37,12 +39,40 @@ def brute_force_bindings(net, tid):
     return sorted(keys)
 
 
+def brute_force_advance_target(net):
+    """Independent oracle: the earliest enabling time after the clock over
+    every token combination whose guard holds at that time, else inf."""
+    best = float("inf")
+    for tid, tr in net.transitions.items():
+        pids = sorted(p for p in net.places
+                      if any(a.source == p and a.target == tid for a in net.arcs))
+        for combo in itertools.product(*[net.places[p].tokens for p in pids]):
+            t = max(tok.time for tok in combo)
+            by_origin = {net.places[p].origin: tok for p, tok in zip(pids, combo)}
+            if t > net.clock and (tr.guard is None or tr.guard.evaluate(by_origin, t)):
+                best = min(best, t)
+    return best
+
+
 def test_binding_enumeration_matches_bruteforce():
     for seed in range(40):
         net = random_marked_net(seed)
         for tid in net.transitions:
             got = sorted(b.value_key() for b in net.enabled_bindings(tid))
             assert got == brute_force_bindings(net, tid), f"seed {seed} {tid}"
+
+
+def test_clock_advance_target_matches_bruteforce():
+    finite = guarded = 0
+    for seed in range(60):
+        net = random_marked_net(seed)
+        for clock in (0.0, 0.5):
+            net.clock = clock
+            want = brute_force_advance_target(net)
+            assert net.clock_advance_target() == want, f"seed {seed} clock {clock}"
+            finite += want < float("inf")
+            guarded += any(tr.guard is not None for tr in net.transitions.values())
+    assert finite > 20 and guarded > 20  # the corpus reaches both branches
 
 
 def test_binding_order_deterministic():
@@ -331,13 +361,12 @@ def _stochastic_net(seed):
 
 def _greedy_rollout(net):
     trail = []
-    net.run_until_decision()
-    while net.clock < net.horizon and net.any_action_binding():
-        tr, binding = max(net.action_bindings(),
-                          key=lambda tb: tb[1].assignments["q"].attrs["a"])
+    pairs = net.run_until_decision()
+    while pairs:
+        tr, binding = max(pairs, key=lambda tb: tb[1].assignments["q"].attrs["a"])
         net.fire(tr, binding)
         trail.append((net.clock, round(net.cum_reward, 9)))
-        net.run_until_decision()
+        pairs = net.run_until_decision()
     return trail
 
 
@@ -347,6 +376,28 @@ def test_same_seed_same_trajectory():
     c = _greedy_rollout(_stochastic_net(321))
     assert a == b
     assert a != c
+
+
+@pytest.mark.parametrize("problem", ["p1", "p2", "p3"])
+def test_run_until_decision_returns_the_decision_pairs(problem):
+    rng = np.random.default_rng(0)
+    for seed in range(3):
+        net = build_problem(problem, horizon=15.0).clone()
+        net.reseed(seed)
+        decisions = 0
+        while True:
+            pairs = net.run_until_decision()
+            if net.clock >= net.horizon:
+                assert pairs == []  # the horizon is no decision
+                break
+            want = net.enabled_pairs(TAG_ACTION)
+            assert pairs and net.tag == TAG_ACTION
+            assert ([(tr.id, b.value_key()) for tr, b in pairs]
+                    == [(tr.id, b.value_key()) for tr, b in want])
+            tr, binding = pairs[int(rng.integers(len(pairs)))]
+            net.fire(tr, binding)  # the handed-down tokens are the live ones
+            decisions += 1
+        assert decisions > 5
 
 
 def test_clock_advance_target_prefers_earliest():

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from aepn.env import AssignmentEnv, greedy_policy, random_policy
-from aepn.net import build_net
+from aepn.net import TAG_ACTION, build_net
 from aepn.problems import build_problem, build_problem3
 
 
@@ -142,7 +142,7 @@ def test_expiry_removes_task_before_next_decision():
     })
     net.run_until_decision()
     assert net.clock == 2.0
-    pairs = net.action_bindings()
+    pairs = net.enabled_pairs(TAG_ACTION)
     assert len(pairs) == 1
     assert pairs[0][1].assignments["waiting"].attrs["budget"] == 60.0
     assert [t.attrs["budget"] for t in net.places["waiting"].tokens] == [60.0]
@@ -160,7 +160,7 @@ def test_p3_service_occupies_resource_for_proc_time():
     net = build_problem("p3").clone()
     net.reseed(5)
     net.run_until_decision()
-    tr, binding = net.action_bindings()[0]
+    tr, binding = net.enabled_pairs(TAG_ACTION)[0]
     proc = binding.assignments["resources"].attrs["proc_time"]
     clock = net.clock
     net.fire(tr, binding)

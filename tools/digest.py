@@ -1,4 +1,4 @@
-"""Equivalence digest: three SHA-256 fingerprints of fixed p2 workloads.
+"""Equivalence digest: four SHA-256 fingerprints of fixed p2 and p3 workloads.
 
     python3 tools/digest.py
 
@@ -9,13 +9,16 @@ prints one digest per line:
   on the graph interface, then a 20-episode argmax ``evaluate``;
 * ``ppo-vector``: the same on the vector interface;
 * ``greedy``: one greedy p2 episode at horizon 200, then a 50-episode
-  greedy ``evaluate`` at the default horizon.
+  greedy ``evaluate`` at the default horizon;
+* ``greedy-p3``: the same on p3, then also a 50-episode random
+  ``evaluate``.  p3's ``expire`` guard is the committed net that drives the
+  guarded branch of ``clock_advance_target``.
 
 Each PPO digest hashes the rollout actions, log-probabilities, values,
 rewards and done flags, the tail values, the final parameters and the
-evaluation returns.  The greedy digest hashes the episode's trace rows and
+evaluation returns.  The greedy digests hash the episode's trace rows and
 the evaluation returns.  A change that claims identical behaviour prints
-the same three lines before and after.  Training digests depend on the
+the same four lines before and after.  Training digests depend on the
 BLAS thread count, so the script pins it to one thread before numpy loads.
 This is a report, not a gate: no expected digest is stored anywhere.
 """
@@ -71,23 +74,26 @@ def ppo_digest(algo: str) -> str:
     return h.hexdigest()
 
 
-def greedy_digest() -> str:
-    env = env_mod.AssignmentEnv(build_problem("p2", horizon=GREEDY_HORIZON),
+def greedy_digest(problem: str, policies) -> str:
+    env = env_mod.AssignmentEnv(build_problem(problem, horizon=GREEDY_HORIZON),
                                 seed=SEED)
     obs = env.reset()
     while not env.done:
         obs = env.step(env_mod.greedy_policy(obs)).observation
     h = hashlib.sha256(repr(env.trace_rows).encode())
-    _, _, returns = ppo.evaluate(env_mod.greedy_policy, "p2",
-                                 episodes=GREEDY_EVAL_EPISODES, seed=SEED)
-    _feed(h, returns)
+    for policy in policies:
+        _, _, returns = ppo.evaluate(policy, problem,
+                                     episodes=GREEDY_EVAL_EPISODES, seed=SEED)
+        _feed(h, returns)
     return h.hexdigest()
 
 
 def main() -> None:
     print(f"ppo-graph   {ppo_digest('graph')}", flush=True)
     print(f"ppo-vector  {ppo_digest('vector')}", flush=True)
-    print(f"greedy      {greedy_digest()}", flush=True)
+    print(f"greedy      {greedy_digest('p2', [env_mod.greedy_policy])}", flush=True)
+    print(f"greedy-p3   {greedy_digest('p3', [env_mod.greedy_policy, env_mod.random_policy])}",
+          flush=True)
 
 
 if __name__ == "__main__":
