@@ -30,12 +30,13 @@ def _cmd_simulate(args, parser) -> int:
     policy = BASELINES[args.policy]
     rng = np.random.default_rng(args.seed)
     env = AssignmentEnv(net, seed=np.random.SeedSequence(args.seed))
-    returns = []
+    returns, rows = [], []
     for episode in range(args.episodes):
         obs, done, total = env.reset(), False, 0.0
         while not done:
             node = policy(obs, rng)
             result = env.step(node)
+            rows.append((episode, result.info["step"], obs.clock, node, result.reward))
             print(f"episode {episode}  clock {result.info['clock']:7.3f}  "
                   f"fired {node}  reward {result.reward:.2f}")
             total += result.reward
@@ -46,7 +47,7 @@ def _cmd_simulate(args, parser) -> int:
     print(f"mean return over {args.episodes} episode(s): "
           f"{float(np.mean(returns)):.2f}")
     if args.out:
-        write_trace_csv(env.trace_rows, args.out)
+        write_trace_csv(rows, args.out)
     return 0
 
 

@@ -7,13 +7,6 @@ source transition.  Evolution firings and clock advances run automatically
 between decisions; their rewards are credited to the step that triggered
 them.  Episodes end when the clock reaches the horizon.
 
-Decision protocol of both environments: ``step`` fires one
-``(tid, binding)``; the agent keeps the turn while action bindings remain,
-otherwise ``run_until_decision`` moves on to the next decision.  Its action
-pairs go to ``_observe``: ``VectorEnv`` masks them, ``AssignmentEnv``
-rebuilds them through ``expand``, the paper's reference construction.  The
-terminal observation still shows the bindings enabled at the horizon.
-
 ``VectorEnv`` is the fixed-length alternative used by the flat-observation
 baseline.  It reads the net's enabled bindings, not the graph: token counts
 per declared color bucket, actions indexed by bucket combination and
@@ -82,8 +75,7 @@ class _Episode:
     def _fire(self, tid: str, binding: Binding) -> StepResult:
         before = self.net.cum_reward
         self.net.fire(tid, binding)
-        # the agent keeps the turn while action bindings remain
-        pairs = self.net.enabled_pairs(TAG_ACTION) or self.net.run_until_decision()
+        pairs = self.net.run_until_decision()
         self.done = self.net.clock >= self.net.horizon
         self._step += 1
         self._obs = self._observe(pairs)
@@ -93,10 +85,6 @@ class _Episode:
 
 class AssignmentEnv(_Episode):
     """Graph-observation environment over a net template."""
-
-    def __init__(self, template: MarkedAEPN, seed=None):
-        super().__init__(template, seed)
-        self.trace_rows: list[tuple] = []
 
     def reset(self, seed=None) -> Observation:
         return self._begin(seed)
@@ -113,10 +101,7 @@ class AssignmentEnv(_Episode):
         origin = self._obs.provenance.action_origin.get(node_id)
         if origin is None:
             raise AEPNError(f"{node_id!r} is not an action node of the current observation")
-        clock = self.net.clock
-        result = self._fire(*origin)
-        self.trace_rows.append((self.episode, self._step, clock, node_id, result.reward))
-        return result
+        return self._fire(*origin)
 
 
 def write_trace_csv(rows, path) -> None:

@@ -10,9 +10,12 @@ time is at or before the global clock and the transition guard holds.
 
 One walk over a transition's token combinations serves both enabling and
 clock scheduling; ``enabled_pairs(tag)`` enumerates a phase's enabled
-``(transition, binding)`` pairs.  ``run_until_decision`` returns the action
-pairs of the decision it stops at, and ``[]`` at the horizon, although
-bindings may still be enabled at ``clock == horizon``.
+``(transition, binding)`` pairs.  The net's tag (``A`` or ``E``) is whose
+turn it is, and only ``run_until_decision`` passes it on: from the tag held
+on entry (the declared one, for a fresh net) it keeps a phase while that
+phase has enabled pairs and hands the turn over when it has none.  So the
+agent keeps the turn while action bindings remain, and the clock moves only
+when neither phase has any.
 
 Guards, rewards and output-arc expressions use a small declarative form so
 nets round-trip through JSON without any code execution:
@@ -132,15 +135,21 @@ class Sampler:
     @staticmethod
     def parse(spec) -> "Sampler":
         if isinstance(spec, (int, float)):
-            return Sampler("constant", (float(spec),))
+            spec = {"value": spec}
         if not isinstance(spec, dict):
             raise NetValidationError(f"bad sampler spec: {spec!r}")
         dist = spec.get("dist", "constant")
         if dist not in _SAMPLER_PARAMS:
             raise NetValidationError(f"unknown distribution {dist!r}")
         params = tuple(float(spec[name]) for name in _SAMPLER_PARAMS[dist])
+        if not all(map(math.isfinite, params)):
+            raise NetValidationError(f"{dist} parameters must be finite: {params}")
         if dist == "exponential" and params[0] <= 0:
             raise NetValidationError("exponential rate must be positive")
+        if dist == "normal" and params[1] < 0:
+            raise NetValidationError("normal std must not be negative")
+        if dist == "uniform" and params[0] > params[1]:
+            raise NetValidationError("uniform low must not exceed high")
         rnd = spec.get("round")
         return Sampler(dist, params, None if rnd is None else int(rnd),
                        bool(spec.get("plus_clock", False)))
@@ -540,10 +549,13 @@ class MarkedAEPN:
     def run_until_decision(self) -> list[tuple[Transition, Binding]]:
         """Advance the net to the next decision point or to the horizon.
 
-        Evolution transitions fire (uniformly at random among enabled pairs)
-        until quiescent at the current clock, then the tag flips to Action if
-        any action binding exists; otherwise the clock jumps to the earliest
-        future enabling time.  Past the horizon the net simply stops.
+        Each pass enumerates ``enabled_pairs(self.tag)``, starting from the
+        tag held on entry.  An Action pass with pairs is the decision; an
+        Evolution pass fires one pair drawn uniformly at random; a pass with
+        none hands the turn to the other tag.  Two passes in a row without a
+        firing jump the clock to :meth:`clock_advance_target` (or to the
+        horizon) and restart in the Evolution phase.  Past the horizon the
+        net simply stops.
 
         Returns the decision's action pairs, ``enabled_pairs(TAG_ACTION)``
         at the clock it stops on.  The horizon is no decision: there it
@@ -551,31 +563,33 @@ class MarkedAEPN:
         at ``clock == horizon``; a caller that shows them asks
         :meth:`enabled_pairs`.
         """
-        fired_here = 0
+        fired_here = idle = 0  # firings at this clock; passes that fired nothing
         while True:
             if self.clock >= self.horizon:
                 return []
-            evo = self.enabled_pairs(TAG_EVOLUTION)
-            if evo:
-                self.tag = TAG_EVOLUTION
-                tr, binding = evo[int(self.rng.integers(len(evo)))]
+            pairs = self.enabled_pairs(self.tag)
+            if pairs and self.tag == TAG_ACTION:
+                return pairs
+            if pairs:
+                tr, binding = pairs[int(self.rng.integers(len(pairs)))]
                 self.fire(tr, binding)
+                idle = 0
                 fired_here += 1
                 if fired_here > LIVELOCK_LIMIT:
                     raise LivelockError(
                         f"{fired_here} evolution firings at clock {self.clock:g}")
                 continue
-            pairs = self.enabled_pairs(TAG_ACTION)
-            if pairs:
-                self.tag = TAG_ACTION
-                return pairs
+            idle += 1
+            if idle < 2:
+                self.tag = TAG_EVOLUTION if self.tag == TAG_ACTION else TAG_ACTION
+                continue
             target = self.clock_advance_target()
+            self.tag = TAG_EVOLUTION
             if not math.isfinite(target) or target >= self.horizon:
                 self.clock = self.horizon
                 return []
-            self.tag = TAG_EVOLUTION
             self.clock = target
-            fired_here = 0
+            fired_here = idle = 0
 
     # -- lifecycle ---------------------------------------------------------
 

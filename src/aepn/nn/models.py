@@ -23,13 +23,7 @@ LOGP_FLOOR = -30.0
 
 def graph_registry(net) -> dict:
     """Node/edge type tables shared by every graph a net family produces."""
-    return {"types": {t: list(a) for t, a in type_registry(net).items()},
-            "relations": [list(r) for r in edge_type_table(net)]}
-
-
-def _norm_registry(registry: dict) -> dict:
-    return {"types": {t: tuple(a) for t, a in registry["types"].items()},
-            "relations": [tuple(r) for r in registry["relations"]]}
+    return {"types": type_registry(net), "relations": edge_type_table(net)}
 
 
 def _init(rng, fan_in: int, fan_out: int, shape) -> Tensor:
@@ -94,9 +88,8 @@ class GraphBatch:
     """
 
     def __init__(self, registry: dict):
-        reg = _norm_registry(registry)
-        self.types = reg["types"]
-        self.relations = reg["relations"]
+        self.types = registry["types"]
+        self.relations = registry["relations"]
 
     @classmethod
     def from_graphs(cls, graphs: list[AssignmentGraph], registry: dict) -> "GraphBatch":
@@ -141,17 +134,16 @@ class HeteroGNN:
     """Typed message-passing encoder; see the module docstring."""
 
     def __init__(self, registry: dict, d: int = 64, rounds: int = 2, seed: int = 0):
-        reg = _norm_registry(registry)
-        self.registry = reg
+        self.registry = registry
         self.d = d
         self.rounds = rounds
         rng = np.random.default_rng(seed)
         self.proj = {t: Linear(rng, len(attrs), d)
-                     for t, attrs in sorted(reg["types"].items())}
+                     for t, attrs in sorted(registry["types"].items())}
         self.layers: list[dict] = []
         for _ in range(rounds):
             layer = {}
-            for rel in reg["relations"]:
+            for rel in registry["relations"]:
                 layer[rel] = {
                     "w": _init(rng, d, d, (d, d)),
                     "a_src": _init(rng, d, 1, (d, 1)),
@@ -216,12 +208,14 @@ class GraphActorCritic:
     kind = "graph"
 
     def __init__(self, registry: dict, d: int = 64, rounds: int = 2, seed: int = 0):
-        self.registry = _norm_registry(registry)
+        # checkpoints store the tables as JSON lists; the model keys on tuples
+        self.registry = {"types": {t: tuple(a) for t, a in registry["types"].items()},
+                         "relations": [tuple(r) for r in registry["relations"]]}
         self.d = d
         self.rounds = rounds
         self.seed = seed
-        self.policy_enc = HeteroGNN(registry, d, rounds, seed=seed)
-        self.value_enc = HeteroGNN(registry, d, rounds, seed=seed + 1)
+        self.policy_enc = HeteroGNN(self.registry, d, rounds, seed=seed)
+        self.value_enc = HeteroGNN(self.registry, d, rounds, seed=seed + 1)
         rng = np.random.default_rng(seed + 2)
         self.policy_head = MLPHead(rng, d, d, 1)
         self.value_head = MLPHead(rng, d, d, 1)
@@ -231,9 +225,7 @@ class GraphActorCritic:
                 + self.value_enc.parameters() + self.value_head.parameters())
 
     def meta(self) -> dict:
-        return {"registry": {"types": {t: list(a) for t, a in self.registry["types"].items()},
-                             "relations": [list(r) for r in self.registry["relations"]]},
-                "d": self.d, "rounds": self.rounds, "seed": self.seed}
+        return {"registry": self.registry, "d": self.d, "rounds": self.rounds, "seed": self.seed}
 
     def batch(self, graphs: list[AssignmentGraph]) -> GraphBatch:
         return GraphBatch.from_graphs(graphs, self.registry)

@@ -22,11 +22,15 @@ from aepn.net import AEPNError, Token, build_net
 from aepn.problems import build_problem
 
 
-def run_episode(env, policy, rng=None):
+def run_episode(env, policy, rng=None, rows=None):
+    """Play one episode; append its trace rows to ``rows`` when given."""
     obs = env.reset()
     total, rewards = 0.0, []
     while True:
-        res = env.step(policy(obs, rng))
+        node = policy(obs, rng)
+        res = env.step(node)
+        if rows is not None:
+            rows.append((env.episode, res.info["step"], obs.clock, node, res.reward))
         total += res.reward
         rewards.append(res.reward)
         obs = res.observation
@@ -36,11 +40,12 @@ def run_episode(env, policy, rng=None):
 
 def test_p1_greedy_episode_shape():
     env = AssignmentEnv(build_problem("p1"), seed=0)
+    rows = []
     for _ in range(3):
-        total, rewards = run_episode(env, greedy_policy)
+        total, rewards = run_episode(env, greedy_policy, rows=rows)
         assert total == 2000.0
         assert rewards == [200.0] * 10
-    clocks = [row[2] for row in env.trace_rows]
+    clocks = [row[2] for row in rows]
     assert clocks == [float(c) for c in range(10)] * 3
 
 
@@ -80,9 +85,10 @@ def test_reward_sum_matches_net_tally():
 
 def test_trace_csv(tmp_path):
     env = AssignmentEnv(build_problem("p1"), seed=0)
-    run_episode(env, greedy_policy)
+    rows = []
+    run_episode(env, greedy_policy, rows=rows)
     path = tmp_path / "trace.csv"
-    write_trace_csv(env.trace_rows, path)
+    write_trace_csv(rows, path)
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["episode", "step", "clock", "action", "reward"]
@@ -94,9 +100,10 @@ def test_env_determinism():
     def collect(seed):
         env = AssignmentEnv(build_problem("p2"), seed=seed)
         rng = np.random.default_rng(0)
+        rows = []
         for _ in range(2):
-            run_episode(env, random_policy, rng)
-        return env.trace_rows
+            run_episode(env, random_policy, rng, rows)
+        return rows
 
     assert collect(5) == collect(5)
     assert collect(5) != collect(6)

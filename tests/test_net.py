@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 import aepn.net as net_mod
+from aepn.env import AssignmentEnv, VectorEnv, greedy_policy
 from aepn.net import (
     AEPNError,
     LivelockError,
+    MarkedAEPN,
     NetValidationError,
     Sampler,
     StaleBindingError,
@@ -224,6 +226,88 @@ def test_horizon_stops_everything():
     assert empty.clock == 10.0
 
 
+def _archive_net(tag, done=0):
+    # three tasks, two resources; every ``start`` emits a zero-delay token
+    # that the evolution ``archive`` can consume at the same clock
+    return build_net({
+        "places": [{"id": "waiting", "schema": ["a"]},
+                   {"id": "resources", "schema": []},
+                   {"id": "done", "schema": []},
+                   {"id": "archived", "schema": []}],
+        "transitions": [{"id": "start", "tag": "A", "reward": "waiting.a"},
+                        {"id": "archive", "tag": "E"}],
+        "arcs": [{"source": "waiting", "target": "start"},
+                 {"source": "resources", "target": "start"},
+                 {"source": "start", "target": "resources",
+                  "expr": {"kind": "identity", "from": "resources", "delay": 1.0}},
+                 {"source": "start", "target": "done", "expr": {"kind": "emit"}},
+                 {"source": "done", "target": "archive"},
+                 {"source": "archive", "target": "archived", "expr": {"kind": "emit"}}],
+        "initial_marking": {
+            "waiting": [{"time": 0.0, "attrs": {"a": float(i)}} for i in range(3)],
+            "resources": [{"time": 0.0, "attrs": {}}] * 2,
+            "done": [{"time": 0.0, "attrs": {}}] * done},
+        "tag": tag,
+        "horizon": 10.0,
+    })
+
+
+def test_agent_keeps_the_turn_while_action_bindings_remain():
+    net = _archive_net("E")
+    pairs = net.run_until_decision()
+    assert net.clock == 0.0 and len(pairs) == 6
+    net.fire(*pairs[0])
+    # the emitted token enables archive, but a resource is still free
+    pairs = net.run_until_decision()
+    assert net.clock == 0.0 and net.tag == TAG_ACTION and len(pairs) == 2
+    assert len(net.places["done"].tokens) == 1 and net.places["archived"].tokens == []
+    net.fire(*pairs[0])
+    # no action is left: archive fires twice before the next decision
+    pairs = net.run_until_decision()
+    assert net.clock == 1.0 and len(pairs) == 2
+    assert net.places["done"].tokens == [] and len(net.places["archived"].tokens) == 2
+
+
+def test_run_until_decision_starts_in_the_declared_phase():
+    acting = _archive_net("A", done=1)
+    assert len(acting.run_until_decision()) == 6
+    assert len(acting.places["done"].tokens) == 1  # archive has not fired
+    evolving = _archive_net("E", done=1)
+    assert len(evolving.run_until_decision()) == 6
+    assert evolving.places["done"].tokens == []
+    assert len(evolving.places["archived"].tokens) == 1
+
+
+@pytest.mark.parametrize("env_cls,per_step", [(AssignmentEnv, 3), (VectorEnv, 2)])
+def test_turn_pass_walks_the_actions_once(monkeypatch, env_cls, per_step):
+    """p2 has one resource, so every step passes the turn.  The net walks
+    the action transitions once to find them empty and once at the next
+    decision (none when the clock jumps to the horizon; there the terminal
+    observation walks).  ``expand`` walks them once per graph observation."""
+    walks = []
+    enabled_bindings = MarkedAEPN.enabled_bindings
+
+    def counting(self, tr):
+        if (self.transitions[tr] if isinstance(tr, str) else tr).tag == TAG_ACTION:
+            walks.append(tr)
+        return enabled_bindings(self, tr)
+
+    monkeypatch.setattr(MarkedAEPN, "enabled_bindings", counting)
+    env = env_cls(build_problem("p2"), seed=3)
+    for _ in range(3):
+        obs = env.reset()
+        steps = 0
+        while not env.done:
+            walks.clear()
+            if env_cls is VectorEnv:
+                obs = env.step(int(np.flatnonzero(obs[1])[0])).observation
+            else:
+                obs = env.step(greedy_policy(obs)).observation
+            assert len(walks) == (2 if env.done else per_step)
+            steps += 1
+        assert steps == 10
+
+
 def test_clone_is_independent():
     net = _golden_net()
     dup = net.clone()
@@ -263,6 +347,14 @@ def test_clone_is_independent():
         {"budget": {"dist": "zipf", "value": 1}}), "distribution"),
     (lambda s: s["arcs"][2]["expr"]["attrs"].update(
         {"budget": {"dist": "exponential", "rate": 0}}), "rate"),
+    (lambda s: s["arcs"][2]["expr"]["attrs"].update(
+        {"budget": {"dist": "exponential", "rate": float("nan")}}), "finite"),
+    (lambda s: s["arcs"][2]["expr"]["attrs"].update(
+        {"budget": float("inf")}), "finite"),
+    (lambda s: s["arcs"][2]["expr"]["attrs"].update(
+        {"budget": {"dist": "normal", "mean": 1, "std": -1}}), "std"),
+    (lambda s: s["arcs"][2]["expr"].update(
+        {"delay": {"dist": "uniform", "low": 2, "high": 1}}), "low"),
     (lambda s: s["initial_marking"].update(ghost=[]), "unknown place"),
     (lambda s: s["places"].append({"id": "bad id", "schema": []}), "bad place id"),
     (lambda s: s["transitions"].append({"id": "idle", "tag": "E"}), "no input places"),
