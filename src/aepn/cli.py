@@ -34,8 +34,9 @@ def _cmd_simulate(args, parser) -> int:
     for episode in range(args.episodes):
         obs, done, total = env.reset(), False, 0.0
         while not done:
-            node = policy(obs, rng)
-            result = env.step(node)
+            k = policy(obs, rng)
+            node = obs.graph.action_node_ids()[k]
+            result = env.step(k)
             rows.append((episode, result.info["step"], obs.clock, node, result.reward))
             print(f"episode {episode}  clock {result.info['clock']:7.3f}  "
                   f"fired {node}  reward {result.reward:.2f}")

@@ -1,18 +1,21 @@
 """Decision-point environment over a marked net.
 
 ``AssignmentEnv`` exposes the net as a sequential decision process: every
-observation is the assignment graph of the current expanded net, an action
-is the id of one of its ``A_Transition`` nodes, and stepping fires the bound
-source transition.  Evolution firings and clock advances run automatically
-between decisions; their rewards are credited to the step that triggered
-them.  Episodes end when the clock reaches the horizon.
+observation is the assignment graph of the current expanded net plus the
+``(transition id, binding)`` pairs its action nodes stand for, and action
+``k`` fires ``pairs[k]``, the graph's ``k``-th ``A_Transition`` node.
+Evolution firings and clock advances run automatically between decisions;
+their rewards are credited to the step that triggered them.  Episodes end
+when the clock reaches the horizon.
 
 ``VectorEnv`` is the fixed-length alternative used by the flat-observation
 baseline.  It reads the net's enabled bindings, not the graph: token counts
 per declared color bucket, actions indexed by bucket combination and
 resolved FIFO to the first matching enabled binding.  Nets without a
 declared finite color space cannot use it and raise
-:class:`NotRepresentableError`.  Both environments step to a :class:`StepResult`.
+:class:`NotRepresentableError`.  On both environments an action is an
+integer index, anything else raises :class:`AEPNError`, and stepping
+returns a :class:`StepResult`.
 """
 from __future__ import annotations
 
@@ -24,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .expand import expand
-from .graph import AssignmentGraph, NodeProvenance, map_to_graph
+from .graph import AssignmentGraph, map_to_graph
 from .net import AEPNError, Binding, MarkedAEPN, TAG_ACTION, Token
 
 
@@ -35,8 +38,7 @@ class NotRepresentableError(AEPNError):
 @dataclass
 class Observation:
     graph: AssignmentGraph
-    provenance: NodeProvenance
-    action_node_ids: list[str]
+    pairs: list[tuple[str, Binding]]  # action k fires pairs[k]
     clock: float
 
 
@@ -50,7 +52,8 @@ class StepResult:
 
 class _Episode:
     """Episode core of both environments: clone and reseed the template, run
-    to decisions, fire the chosen binding, count steps, then ``_observe``."""
+    to decisions, fire the chosen binding, count steps, then ``_observe``,
+    which also sets ``_choices``, the enabled action index -> pair map."""
 
     def __init__(self, template: MarkedAEPN, seed=None):
         self.template = template
@@ -69,18 +72,23 @@ class _Episode:
         self.done = self.net.clock >= self.net.horizon
         self.episode += 1
         self._step = 0
-        self._obs = self._observe(pairs)
-        return self._obs
+        return self._observe(pairs)
 
-    def _fire(self, tid: str, binding: Binding) -> StepResult:
+    def _act(self, action) -> StepResult:
+        if self.done:
+            raise AEPNError("step called on a finished episode; call reset first")
+        origin = (self._choices.get(action)
+                  if isinstance(action, (int, np.integer)) else None)
+        if origin is None:
+            raise AEPNError(f"action {action!r} is not enabled")
+        tid, binding = origin
         before = self.net.cum_reward
         self.net.fire(tid, binding)
         pairs = self.net.run_until_decision()
         self.done = self.net.clock >= self.net.horizon
         self._step += 1
-        self._obs = self._observe(pairs)
-        return StepResult(self._obs, self.net.cum_reward - before, self.done,
-                          {"clock": self.net.clock, "step": self._step})
+        return StepResult(self._observe(pairs), self.net.cum_reward - before,
+                          self.done, {"clock": self.net.clock, "step": self._step})
 
 
 class AssignmentEnv(_Episode):
@@ -90,18 +98,16 @@ class AssignmentEnv(_Episode):
         return self._begin(seed)
 
     def _observe(self, pairs) -> Observation:
-        # expand enumerates the bindings itself: it is the reference construction
+        # expand enumerates the bindings itself: it is the reference construction.
+        # Its action copies are the graph's action nodes, in the same order
         expanded, emap = expand(self.net)
-        graph, prov = map_to_graph(expanded, emap)
-        return Observation(graph, prov, graph.action_node_ids(), self.net.clock)
+        graph, _ = map_to_graph(expanded, emap)
+        pairs = list(emap.action_origin.values())
+        self._choices = dict(enumerate(pairs))
+        return Observation(graph, pairs, self.net.clock)
 
-    def step(self, node_id: str) -> StepResult:
-        if self.done:
-            raise AEPNError("step called on a finished episode; call reset first")
-        origin = self._obs.provenance.action_origin.get(node_id)
-        if origin is None:
-            raise AEPNError(f"{node_id!r} is not an action node of the current observation")
-        return self._fire(*origin)
+    def step(self, action: int) -> StepResult:
+        return self._act(action)
 
 
 def write_trace_csv(rows, path) -> None:
@@ -121,16 +127,16 @@ def _binding_budget(binding: Binding) -> float:
     return max(vals) if vals else 0.0
 
 
-def greedy_policy(obs: Observation, rng=None) -> str:
-    """Action node whose bound task has the largest budget; ties by node id."""
-    def rank(nid: str):
-        _, binding = obs.provenance.action_origin[nid]
-        return (-_binding_budget(binding), nid)
-    return min(obs.action_node_ids, key=rank)
+def greedy_policy(obs: Observation, rng=None) -> int:
+    """Action whose bound task has the largest budget; ties go to the
+    smaller action node id as a string (``"start#10" < "start#2"``)."""
+    node_ids = obs.graph.action_node_ids()
+    return min(range(len(obs.pairs)),
+               key=lambda k: (-_binding_budget(obs.pairs[k][1]), node_ids[k]))
 
 
-def random_policy(obs: Observation, rng: np.random.Generator) -> str:
-    return obs.action_node_ids[int(rng.integers(len(obs.action_node_ids)))]
+def random_policy(obs: Observation, rng: np.random.Generator) -> int:
+    return int(rng.integers(len(obs.pairs)))
 
 
 # -- fixed-length (vector) interface ---------------------------------------
@@ -256,7 +262,7 @@ class VectorEnv(_Episode):
     def _observe(self, pairs):
         vec = vector_observation(self.net, self._color_index)
         mask = np.zeros(self.n_actions, dtype=bool)
-        self._binding_for: dict[int, tuple[str, Binding]] = {}
+        self._choices: dict[int, tuple[str, Binding]] = {}
         if self.done:
             # the terminal mask shows the bindings enabled at the horizon, as
             # the graph does; run_until_decision hands none down there
@@ -269,16 +275,11 @@ class VectorEnv(_Episode):
             if not mask[idx]:
                 # FIFO: the first enabled binding claims the bucket combination
                 mask[idx] = True
-                self._binding_for[idx] = (tr.id, binding)
+                self._choices[idx] = (tr.id, binding)
         return vec, mask
 
     def reset(self, seed=None):
         return self._begin(seed)
 
     def step(self, action: int) -> StepResult:
-        if self.done:
-            raise AEPNError("step called on a finished episode; call reset first")
-        origin = self._binding_for.get(int(action))
-        if origin is None:
-            raise AEPNError(f"vector action {action} is not enabled")
-        return self._fire(*origin)
+        return self._act(action)

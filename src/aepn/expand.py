@@ -39,25 +39,6 @@ class ExpansionMap:
     # target action transition id -> (source transition id, binding)
     action_origin: dict[str, tuple[str, Binding]] = field(default_factory=dict)
 
-    def source_place(self, target_pid: str) -> str:
-        for src, tgt in self.place_pairs:
-            if tgt == target_pid:
-                return src
-        raise KeyError(target_pid)
-
-    def to_json(self) -> dict:
-        return {
-            "places": [[s, t] for s, t in self.place_pairs],
-            "actions": {
-                tid: {
-                    "transition": src,
-                    "binding": {pid: tok.to_json()
-                                for pid, tok in b.assignments.items()},
-                }
-                for tid, (src, b) in self.action_origin.items()
-            },
-        }
-
 
 def expand(net: MarkedAEPN) -> tuple[MarkedAEPN, ExpansionMap]:
     """Rewrite ``net`` into its single-token form; the source is untouched."""

@@ -9,9 +9,11 @@ arcs are dropped; the remaining arcs become edges one for one.  Two places
 share a node type exactly when their attribute schemas coincide, so every
 graph over the same net family uses one fixed type registry.
 
-Picking an ``A_Transition`` node is the action interface: provenance links
-each such node back to the source transition and binding that firing it
-executes.
+Picking an ``A_Transition`` node is the action interface.  Action nodes
+appear in the expanded net's transition order, which is also the order of
+``ExpansionMap.action_origin``, so the environment's action ``k`` is the
+``k``-th action node and fires the ``k``-th source ``(transition,
+binding)`` pair; provenance records the same link by node id.
 """
 from __future__ import annotations
 

@@ -336,13 +336,12 @@ class Arc:
 
 
 class Binding:
-    """One token per input place of a transition, plus its enabling time."""
+    """One token per input place of a transition."""
 
-    __slots__ = ("assignments", "enabling_time")
+    __slots__ = ("assignments",)
 
-    def __init__(self, assignments: dict[str, Token], enabling_time: float):
+    def __init__(self, assignments: dict[str, Token]):
         self.assignments = assignments
-        self.enabling_time = enabling_time
 
     def value_key(self) -> tuple:
         """Value identity used for provenance maps and replay lookups."""
@@ -367,7 +366,6 @@ class MarkedAEPN:
         self.horizon = float(horizon)
         self.clock = float(clock)
         self.cum_reward = float(cum_reward)
-        self.seed = seed
         self.color_spec = color_spec
         self.rng = np.random.default_rng(seed)
         self._index()
@@ -496,8 +494,8 @@ class MarkedAEPN:
         if isinstance(tr, str):
             tr = self.transitions[tr]
         pids = self._in[tr.id]
-        return [Binding(dict(zip(pids, combo)), t)
-                for t, combo in self._walk(tr, -math.inf, self.clock)]
+        return [Binding(dict(zip(pids, combo)))
+                for _, combo in self._walk(tr, -math.inf, self.clock)]
 
     def enabled_pairs(self, tag: str) -> list[tuple[Transition, Binding]]:
         """Enabled ``(transition, binding)`` pairs of every ``tag`` transition.
@@ -594,7 +592,6 @@ class MarkedAEPN:
     # -- lifecycle ---------------------------------------------------------
 
     def reseed(self, seed: int | np.random.SeedSequence | None) -> None:
-        self.seed = seed
         self.rng = np.random.default_rng(seed)
 
     def clone(self) -> "MarkedAEPN":
@@ -608,7 +605,6 @@ class MarkedAEPN:
         dup.horizon = self.horizon
         dup.clock = self.clock
         dup.cum_reward = self.cum_reward
-        dup.seed = self.seed
         dup.color_spec = self.color_spec
         dup.rng = copy.deepcopy(self.rng)
         dup._in = self._in

@@ -252,8 +252,8 @@ class GraphActorCritic:
 
     def act_batch(self, obs_list, rng, argmax: bool = False) -> list[tuple]:
         """One decision per observation from one batched forward; each is
-        (env action, stored obs, action index, logp, value), picked in list
-        order from ``rng``."""
+        (action index, stored obs, logp, value), picked in list order from
+        ``rng``."""
         batch = self.batch([obs.graph for obs in obs_list])
         with no_grad():
             probs = self.policy_forward(batch).data[:, 0]
@@ -262,11 +262,11 @@ class GraphActorCritic:
         for i, obs in enumerate(obs_list):
             lo = batch.action_offsets[i]
             k, logp = _pick(probs[lo:lo + batch.action_counts[i]], rng, argmax)
-            out.append((obs.action_node_ids[k], obs.graph, k, logp, float(values[i])))
+            out.append((k, obs.graph, logp, float(values[i])))
         return out
 
     def act(self, obs, rng, argmax: bool = False):
-        """One decision: returns (env action, stored obs, action index, logp, value)."""
+        """One decision: returns (action index, stored obs, logp, value)."""
         return self.act_batch([obs], rng, argmax)[0]
 
     def state_values(self, obs_list) -> np.ndarray:
@@ -336,7 +336,7 @@ class VectorActorCritic:
         out = []
         for i in range(len(obs_list)):
             k, logp = _pick(probs[i], rng, argmax)
-            out.append((k, (X[i], masks[i]), k, logp, float(values[i])))
+            out.append((k, (X[i], masks[i]), logp, float(values[i])))
         return out
 
     def act(self, obs, rng, argmax: bool = False):

@@ -121,8 +121,8 @@ def collect_rollouts(state: RolloutState, model, cfg: PPOConfig) -> RolloutBuffe
     for _ in range(cfg.rollout // len(envs)):
         decisions = model.act_batch(state.obs, state.rng)
         for i, (env, decision) in enumerate(zip(envs, decisions)):
-            env_action, stored, action, logp, value = decision
-            res = env.step(env_action)
+            action, stored, logp, value = decision
+            res = env.step(action)
             buf.add(i, TransitionRecord(stored, action, logp, res.reward, value, res.done))
             state.ep_return[i] += res.reward
             if res.done:

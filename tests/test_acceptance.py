@@ -160,7 +160,7 @@ def test_09_loss_gradients_match_finite_differences(capsys):
         rng = np.random.default_rng(900 + seed)
         model = GraphActorCritic(registry, d=8, rounds=2, seed=seed)
         obs = pool[int(rng.integers(len(pool)))]
-        k = int(rng.integers(len(obs.action_node_ids)))
+        k = int(rng.integers(len(obs.pairs)))
         loss(model, obs, k).backward()
         params = model.parameters()
         bounds = np.concatenate(([0], np.cumsum([p.data.size for p in params])))

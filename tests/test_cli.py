@@ -171,3 +171,19 @@ def test_reproduce_deterministic_modulo_runtime(capsys, tmp_path):
     a = run(tmp_path / "a.csv")
     b = run(tmp_path / "b.csv")
     assert a == b
+
+
+def test_trained_row_reports_p3_vector_without_training(monkeypatch):
+    import aepn.ppo
+    from aepn.ppo import PPOConfig
+    from aepn.reproduce import NOT_REPRESENTABLE, _trained_row
+
+    def no_rollouts(*args, **kwargs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(aepn.ppo, "collect_rollouts", no_rollouts)
+    row = _trained_row("p3", "vector", PPOConfig(total_updates=1), episodes=5,
+                       seed=0, verbose=False)
+    assert (row.problem, row.policy) == ("p3", "ppo-vector")
+    assert row.mean == row.std == NOT_REPRESENTABLE
+    assert row.cell() == NOT_REPRESENTABLE

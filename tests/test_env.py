@@ -18,6 +18,8 @@ from aepn.env import (
     _bucket_matches,
     _ColorIndex,
 )
+from aepn.expand import expand
+from aepn.graph import map_to_graph
 from aepn.net import AEPNError, Token, build_net
 from aepn.problems import build_problem
 
@@ -27,9 +29,10 @@ def run_episode(env, policy, rng=None, rows=None):
     obs = env.reset()
     total, rewards = 0.0, []
     while True:
-        node = policy(obs, rng)
-        res = env.step(node)
+        k = policy(obs, rng)
+        res = env.step(k)
         if rows is not None:
+            node = obs.graph.action_node_ids()[k]
             rows.append((env.episode, res.info["step"], obs.clock, node, res.reward))
         total += res.reward
         rewards.append(res.reward)
@@ -53,27 +56,84 @@ def test_observation_contract():
     env = AssignmentEnv(build_problem("p1"), seed=0)
     obs = env.reset()
     assert obs.clock == 0.0
-    assert len(obs.action_node_ids) == 2
-    assert set(obs.provenance.action_origin) == set(obs.action_node_ids)
-    assert set(obs.action_node_ids) <= set(obs.graph.node_ids())
+    assert len(obs.pairs) == 2
+    assert len(obs.graph.action_node_ids()) == 2
+    assert {tid for tid, _ in obs.pairs} == {"start"}
 
 
 def test_step_errors():
     env = AssignmentEnv(build_problem("p1"), seed=0)
     with pytest.raises(AEPNError):
-        env.step("start#0")  # before reset
+        env.step(0)  # before reset
     obs = env.reset()
-    with pytest.raises(AEPNError):
-        env.step("nonsense")
-    with pytest.raises(AEPNError):
-        env.step(obs.graph.node_ids()[0])  # a place node is not an action
+    # node ids, negative and out-of-range indices are no actions
+    for bad in ("nonsense", obs.graph.node_ids()[0], obs.graph.action_node_ids()[0],
+                -1, len(obs.pairs), 1.0):
+        with pytest.raises(AEPNError, match="not enabled"):
+            env.step(bad)
     while True:
-        res = env.step(obs.action_node_ids[0])
+        res = env.step(np.int64(0))
         obs = res.observation
         if res.done:
             break
     with pytest.raises(AEPNError):
-        env.step("start#0")  # after the horizon
+        env.step(0)  # after the horizon
+
+    tv = VectorEnv(build_problem("p2"), seed=0)
+    _, mask = tv.reset()
+    for bad in ("start#0", -1, tv.n_actions, int(np.flatnonzero(~mask)[0])):
+        with pytest.raises(AEPNError, match="not enabled"):
+            tv.step(bad)
+    tv.step(int(np.flatnonzero(mask)[0]))
+
+
+@pytest.mark.parametrize("problem", ["p1", "p2", "p3"])
+def test_action_k_is_the_kth_action_node(problem):
+    env = AssignmentEnv(build_problem(problem, horizon=6.0), seed=1)
+    rng = np.random.default_rng(1)
+    checked = terminal = 0
+    for _ in range(2):
+        obs = env.reset()
+        while True:
+            # also the terminal observation, which shows the bindings enabled
+            # at the horizon
+            expanded, emap = expand(env.net)
+            graph, _ = map_to_graph(expanded, emap)
+            node_ids = graph.action_node_ids()
+            assert obs.graph.action_node_ids() == node_ids
+            assert len(obs.pairs) == len(node_ids)
+            for k, (tid, binding) in enumerate(obs.pairs):
+                want_tid, want = emap.action_origin[node_ids[k]]
+                assert tid == want_tid
+                assert binding.assignments.keys() == want.assignments.keys()
+                assert all(tok is want.assignments[pid]
+                           for pid, tok in binding.assignments.items())
+                checked += 1
+            if env.done:
+                terminal += len(obs.pairs)
+                break
+            obs = env.step(random_policy(obs, rng)).observation
+    assert checked > 0 and terminal > 0
+
+
+def test_greedy_ties_break_by_node_id_string():
+    budgets = [100.0] * 12
+    budgets[2] = budgets[10] = 200.0
+    env = AssignmentEnv(build_net({
+        "places": [{"id": "waiting", "schema": ["budget"]},
+                   {"id": "resources", "schema": []}],
+        "transitions": [{"id": "start", "tag": "A", "reward": "waiting.budget"}],
+        "arcs": [{"source": "waiting", "target": "start"},
+                 {"source": "resources", "target": "start"}],
+        "initial_marking": {
+            "waiting": [{"time": 0.0, "attrs": {"budget": b}} for b in budgets],
+            "resources": [{"time": 0.0, "attrs": {}}]},
+        "tag": "A", "horizon": 10.0,
+    }), seed=0)
+    obs = env.reset()
+    assert [b.assignments["waiting"].attrs["budget"] for _, b in obs.pairs] == budgets
+    # "start#10" < "start#2", so index 10 wins the tie, not index 2
+    assert greedy_policy(obs) == 10
 
 
 def test_reward_sum_matches_net_tally():
@@ -126,8 +186,7 @@ def test_actionless_net_finishes_immediately():
 def test_greedy_prefers_largest_budget():
     env = AssignmentEnv(build_problem("p1"), seed=0)
     obs = env.reset()
-    nid = greedy_policy(obs)
-    _, binding = obs.provenance.action_origin[nid]
+    _, binding = obs.pairs[greedy_policy(obs)]
     assert binding.assignments["waiting"].attrs["budget"] == 200.0
 
 
@@ -136,8 +195,8 @@ def test_random_policy_uniform():
     obs = env.reset()
     rng = np.random.default_rng(1)
     picks = [random_policy(obs, rng) for _ in range(4000)]
-    for nid in obs.action_node_ids:
-        share = picks.count(nid) / len(picks)
+    for k in range(len(obs.pairs)):
+        share = picks.count(k) / len(picks)
         assert abs(share - 0.5) < 0.03
 
 
@@ -234,16 +293,20 @@ def test_vector_action_table_layout():
 
 
 def test_step_outside_an_episode_raises_on_both_envs():
-    for env, action in ((AssignmentEnv(build_problem("p1"), seed=0), "start#0"),
-                        (VectorEnv(build_problem("p1"), seed=0), 0)):
+    for env in (AssignmentEnv(build_problem("p1"), seed=0),
+                VectorEnv(build_problem("p1"), seed=0)):
         with pytest.raises(AEPNError, match="finished episode"):
-            env.step(action)  # before reset
-        env.reset()
+            env.step(0)  # before reset
+        obs = env.reset()
+        n = len(obs.pairs) if isinstance(env, AssignmentEnv) else env.n_actions
+        for bad in ("start#0", -1, n):
+            with pytest.raises(AEPNError, match="not enabled"):
+                env.step(bad)
         while not env.done:
-            res = env.step(action)
+            res = env.step(0)
             assert isinstance(res, StepResult)
         with pytest.raises(AEPNError, match="finished episode"):
-            env.step(action)  # after the horizon
+            env.step(0)  # after the horizon
 
 
 @pytest.mark.parametrize("problem", ["p1", "p2"])
@@ -257,8 +320,8 @@ def test_vector_view_equals_graph_provenance_definition(problem):
         tv, ta = VectorEnv(template, seed=seed), AssignmentEnv(template, seed=seed)
         colors = tv._color_index
 
-        def key(nid):
-            tid, binding = obs.provenance.action_origin[nid]
+        def key(j):
+            tid, binding = obs.pairs[j]
             return (tid, tuple((pid, colors[pid].find(tok))
                                for pid, tok in sorted(binding.assignments.items())))
 
@@ -268,7 +331,7 @@ def test_vector_view_equals_graph_provenance_definition(problem):
             while True:
                 # also at the terminal observation, which shows the bindings
                 # enabled at the horizon
-                keys = [key(nid) for nid in obs.action_node_ids]
+                keys = [key(j) for j in range(len(obs.pairs))]
                 assert set(np.flatnonzero(mask)) == {tv._index[k] for k in keys}
                 assert np.array_equal(vec, vector_observation(ta.net, colors))
                 assert np.array_equal(vec, vector_observation(tv.net, colors))
@@ -276,11 +339,11 @@ def test_vector_view_equals_graph_provenance_definition(problem):
                     terminal_actions += bool(keys)
                     break
                 k = int(rng.choice(np.flatnonzero(mask)))
-                nid = obs.action_node_ids[keys.index(tv.actions[k])]
-                want_tid, want = obs.provenance.action_origin[nid]
-                tid, binding = tv._binding_for[k]
+                j = keys.index(tv.actions[k])
+                want_tid, want = obs.pairs[j]
+                tid, binding = tv._choices[k]
                 assert (tid, binding.value_key()) == (want_tid, want.value_key())
-                rv, ra = tv.step(k), ta.step(nid)
+                rv, ra = tv.step(k), ta.step(j)
                 assert (rv.reward, rv.done, rv.info) == (ra.reward, ra.done, ra.info)
                 (vec, mask), obs = rv.observation, ra.observation
     assert terminal_actions > 0

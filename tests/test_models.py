@@ -243,18 +243,18 @@ def test_act_samples_and_argmax():
     model = GraphActorCritic(graph_registry(build_problem("p1")), d=8,
                              rounds=2, seed=0)
     rng = np.random.default_rng(0)
-    nid, stored, k, logp, value = model.act(obs, rng)
-    assert nid == obs.action_node_ids[k]
+    k, stored, logp, value = model.act(obs, rng)
+    assert 0 <= k < len(obs.pairs)
     assert stored is obs.graph
     assert logp <= 0.0 and np.isfinite(value)
-    picks = {model.act(obs, rng, argmax=True)[2] for _ in range(5)}
+    picks = {model.act(obs, rng, argmax=True)[0] for _ in range(5)}
     assert len(picks) == 1  # argmax is deterministic
 
 
 def _assert_same_decisions(batched, singles):
     assert len(batched) == len(singles)
-    for (a, _, k_a, logp_a, v_a), (b, _, k_b, logp_b, v_b) in zip(batched, singles):
-        assert (a, k_a) == (b, k_b)
+    for (k_a, _, logp_a, v_a), (k_b, _, logp_b, v_b) in zip(batched, singles):
+        assert k_a == k_b
         assert abs(logp_a - logp_b) < 1e-9 and abs(v_a - v_b) < 1e-9
 
 
@@ -269,7 +269,7 @@ def test_graph_act_batch_matches_single_acts():
         _assert_same_decisions(batched, singles)
         assert all(d[1] is o.graph for d, o in zip(batched, obs))
     values = model.state_values(obs)
-    assert np.abs(values - [d[4] for d in batched]).max() < 1e-9
+    assert np.abs(values - [d[3] for d in batched]).max() < 1e-9
     assert abs(model.state_value(obs[0]) - values[0]) < 1e-9
 
 
@@ -289,7 +289,7 @@ def test_vector_act_batch_matches_single_acts():
         for (_, (vec, mask), *_), (o_vec, o_mask) in zip(batched, obs):
             assert np.array_equal(vec, o_vec) and np.array_equal(mask, o_mask)
     values = model.state_values(obs)
-    assert np.abs(values - [d[4] for d in batched]).max() < 1e-9
+    assert np.abs(values - [d[3] for d in batched]).max() < 1e-9
 
 
 def test_graph_checkpoint_round_trip(tmp_path):
@@ -362,8 +362,8 @@ def test_vector_env_and_model_agree_on_shapes():
     tv = VectorEnv(build_problem("p1"), seed=0)
     model = VectorActorCritic(tv.obs_dim, tv.n_actions, hidden=8, seed=0)
     obs = tv.reset()
-    k, stored, k2, logp, value = model.act(obs, np.random.default_rng(0))
-    assert k == k2 and 0 <= k < tv.n_actions
+    k, stored, logp, value = model.act(obs, np.random.default_rng(0))
+    assert 0 <= k < tv.n_actions
     tv.step(k)
 
 

@@ -170,8 +170,8 @@ def _one_env_at_a_time(state, model, cfg):
     buf = RolloutBuffer(len(state.envs))
     for _ in range(cfg.rollout // len(state.envs)):
         for i, env in enumerate(state.envs):
-            env_action, stored, action, logp, value = model.act(state.obs[i], state.rng)
-            res = env.step(env_action)
+            action, stored, logp, value = model.act(state.obs[i], state.rng)
+            res = env.step(action)
             buf.add(i, TransitionRecord(stored, action, logp, res.reward, value, res.done))
             state.obs[i] = env.reset() if res.done else res.observation
     for i, stream in enumerate(buf.streams):

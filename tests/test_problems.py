@@ -20,8 +20,7 @@ def run_episode(env, policy, rng=None):
 
 def waiting_tokens(obs):
     toks = []
-    for nid in obs.action_node_ids:
-        _, binding = obs.provenance.action_origin[nid]
+    for _, binding in obs.pairs:
         toks.append(binding.assignments["waiting"])
     return toks
 
@@ -33,7 +32,7 @@ def test_p1_constant_budgets_and_types():
     while True:
         for tok in waiting_tokens(obs):
             seen.add((tok.attrs["type"], tok.attrs["budget"]))
-        res = env.step(obs.action_node_ids[0])
+        res = env.step(0)
         obs = res.observation
         if res.done:
             break

@@ -123,8 +123,9 @@ def greedy_rows(template) -> list[tuple]:
     obs = env.reset()
     rows = []
     while not env.done:
-        node = env_mod.greedy_policy(obs)
-        result = env.step(node)
+        k = env_mod.greedy_policy(obs)
+        node = obs.graph.action_node_ids()[k]
+        result = env.step(k)
         rows.append((env.episode, result.info["step"], obs.clock, node, result.reward))
         obs = result.observation
     return rows
