@@ -6,7 +6,8 @@ import sys
 
 import numpy as np
 
-from .env import AssignmentEnv, greedy_policy, random_policy, write_trace_csv
+from .env import (AssignmentEnv, action_node_ids, greedy_policy, random_policy,
+                  write_trace_csv)
 from .expand import expand
 from .graph import export_dot, map_to_graph, save_graph
 from .net import AEPNError, load_net, save_net
@@ -35,7 +36,7 @@ def _cmd_simulate(args, parser) -> int:
         obs, done, total = env.reset(), False, 0.0
         while not done:
             k = policy(obs, rng)
-            node = obs.graph.action_node_ids()[k]
+            node = action_node_ids(obs.pairs)[k]
             result = env.step(k)
             rows.append((episode, result.info["step"], obs.clock, node, result.reward))
             print(f"episode {episode}  clock {result.info['clock']:7.3f}  "

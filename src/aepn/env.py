@@ -1,9 +1,10 @@
 """Decision-point environment over a marked net.
 
 ``AssignmentEnv`` exposes the net as a sequential decision process: every
-observation is the assignment graph of the current expanded net plus the
-``(transition id, binding)`` pairs its action nodes stand for, and action
-``k`` fires ``pairs[k]``, the graph's ``k``-th ``A_Transition`` node.
+observation is the assignment graph of the current marking, compiled to
+arrays (:func:`~aepn.graph.compile_decision`), plus the ``(transition id,
+binding)`` pairs its action nodes stand for, and action ``k`` fires
+``pairs[k]``, the graph's ``k``-th ``A_Transition`` node.
 Evolution firings and clock advances run automatically between decisions;
 their rewards are credited to the step that triggered them.  Episodes end
 when the clock reaches the horizon.
@@ -26,8 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .expand import expand
-from .graph import AssignmentGraph, map_to_graph
+from .graph import DecisionGraph, compile_decision
 from .net import AEPNError, Binding, MarkedAEPN, TAG_ACTION, Token
 
 
@@ -37,7 +37,7 @@ class NotRepresentableError(AEPNError):
 
 @dataclass
 class Observation:
-    graph: AssignmentGraph
+    graph: DecisionGraph
     pairs: list[tuple[str, Binding]]  # action k fires pairs[k]
     clock: float
 
@@ -98,11 +98,12 @@ class AssignmentEnv(_Episode):
         return self._begin(seed)
 
     def _observe(self, pairs) -> Observation:
-        # expand enumerates the bindings itself: it is the reference construction.
-        # Its action copies are the graph's action nodes, in the same order
-        expanded, emap = expand(self.net)
-        graph, _ = map_to_graph(expanded, emap)
-        pairs = list(emap.action_origin.values())
+        if self.done:
+            # the terminal graph shows the bindings enabled at the horizon;
+            # run_until_decision hands none down there
+            pairs = self.net.enabled_pairs(TAG_ACTION)
+        graph = compile_decision(self.net, pairs)
+        pairs = [(tr.id, binding) for tr, binding in pairs]
         self._choices = dict(enumerate(pairs))
         return Observation(graph, pairs, self.net.clock)
 
@@ -127,10 +128,21 @@ def _binding_budget(binding: Binding) -> float:
     return max(vals) if vals else 0.0
 
 
+def action_node_ids(pairs) -> list[str]:
+    """Node id of each action as ``expand`` names its copies: ``f"{tid}#{j}"``
+    for the ``j``-th binding of transition ``tid``."""
+    seen: dict[str, int] = {}
+    ids = []
+    for tid, _ in pairs:
+        j = seen[tid] = seen.get(tid, -1) + 1
+        ids.append(f"{tid}#{j}")
+    return ids
+
+
 def greedy_policy(obs: Observation, rng=None) -> int:
     """Action whose bound task has the largest budget; ties go to the
     smaller action node id as a string (``"start#10" < "start#2"``)."""
-    node_ids = obs.graph.action_node_ids()
+    node_ids = action_node_ids(obs.pairs)
     return min(range(len(obs.pairs)),
                key=lambda k: (-_binding_budget(obs.pairs[k][1]), node_ids[k]))
 

@@ -9,19 +9,27 @@ arcs are dropped; the remaining arcs become edges one for one.  Two places
 share a node type exactly when their attribute schemas coincide, so every
 graph over the same net family uses one fixed type registry.
 
+``expand`` followed by :func:`map_to_graph` is the reference construction,
+with string node ids, serialization and DOT output.  The environment skips
+both steps: :func:`compile_decision` reads the same graph straight off the
+marking and the decision's pairs as per-type arrays, a
+:class:`DecisionGraph`.
+
 Picking an ``A_Transition`` node is the action interface.  Action nodes
 appear in the expanded net's transition order, which is also the order of
-``ExpansionMap.action_origin``, so the environment's action ``k`` is the
-``k``-th action node and fires the ``k``-th source ``(transition,
-binding)`` pair; provenance records the same link by node id.
+``ExpansionMap.action_origin`` and of ``enabled_pairs(TAG_ACTION)``, so the
+environment's action ``k`` is the ``k``-th action node and fires the
+``k``-th source ``(transition, binding)`` pair.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .expand import ExpansionMap
-from .net import AEPNError, Binding, MarkedAEPN, TAG_EVOLUTION
+from .net import AEPNError, Binding, MarkedAEPN, Place, TAG_EVOLUTION
 
 A_TRANSITION = "A_Transition"
 E_TRANSITION = "E_Transition"
@@ -129,6 +137,113 @@ def map_to_graph(expanded: MarkedAEPN,
 
     graph = AssignmentGraph(nodes, edges, type_registry(expanded))
     return graph, prov
+
+
+@dataclass
+class DecisionGraph:
+    """One assignment graph as arrays, bucketed by node type.
+
+    ``feats[type]`` holds one float64 row per node of that type, in graph
+    node order; ``edges[(source type, target type)]`` holds the ``(src,
+    dst)`` row indices of that relation's edges, in graph edge order.  Only
+    types with a node and relations with an edge appear.
+    """
+
+    feats: dict[str, np.ndarray]
+    edges: dict[tuple[str, str], tuple[np.ndarray, np.ndarray]]
+    n_actions: int
+
+
+def _token_rows(place: Place, clock: float) -> np.ndarray:
+    """Feature rows of a place's tokens: time relative to the clock, then
+    the attributes in schema order (filled a column at a time)."""
+    rows = np.empty((len(place.tokens), 1 + len(place.schema)))
+    rows[:, 0] = [tok.time for tok in place.tokens]
+    rows[:, 0] -= clock
+    for j, name in enumerate(place.schema, 1):
+        rows[:, j] = [tok.attrs[name] for tok in place.tokens]
+    return rows
+
+
+def compile_decision(net: MarkedAEPN, pairs) -> DecisionGraph:
+    """The graph of ``map_to_graph(*expand(net))`` as a :class:`DecisionGraph`.
+
+    ``pairs`` are the net's ``enabled_pairs(TAG_ACTION)``, as
+    ``run_until_decision`` returns them; action row ``k`` is ``pairs[k]``.
+    Rows and edges come in the reference order: tokens in place order, then
+    insertion order; edges in the expanded net's arc order, where an
+    evolution transition links every token of its input places and of each
+    distinct output place, and an action copy links its binding's tokens
+    and, for an output place that is no input, that place's first token.
+    """
+    ptype = {pid: place_type(p.schema) for pid, p in net.places.items()}
+    blocks: dict[str, list[np.ndarray]] = {}
+    span: dict[str, range] = {}  # place id -> its tokens' rows in its type
+    for pid, place in net.places.items():
+        if place.tokens:
+            bucket = blocks.setdefault(ptype[pid], [])
+            start = sum(map(len, bucket))
+            span[pid] = range(start, start + len(place.tokens))
+            bucket.append(_token_rows(place, net.clock))
+
+    bindings: dict[str, list[Binding]] = {}
+    for tr, binding in pairs:
+        bindings.setdefault(tr.id, []).append(binding)
+    links: dict[tuple[str, str], list[tuple[np.ndarray, np.ndarray]]] = {}
+
+    def link(rel, src, dst):
+        links.setdefault(rel, []).append((src, dst))
+
+    n_evolutions = n_actions = 0
+    for tid, tr in net.transitions.items():
+        if tr.tag == TAG_EVOLUTION:
+            node = np.full(1, n_evolutions, dtype=np.intp)
+            n_evolutions += 1
+            for pid in net._in[tid]:
+                if pid in span:
+                    link((ptype[pid], E_TRANSITION), np.asarray(span[pid], dtype=np.intp),
+                         node.repeat(len(span[pid])))
+            for pid in dict.fromkeys(arc.target for arc in net._out[tid]):
+                if pid in span:
+                    link((E_TRANSITION, ptype[pid]), node.repeat(len(span[pid])),
+                         np.asarray(span[pid], dtype=np.intp))
+            continue
+        chosen = bindings.get(tid)
+        if not chosen:
+            continue
+        copies = np.arange(n_actions, n_actions + len(chosen), dtype=np.intp)
+        n_actions += len(chosen)
+        # one row column per arc, one entry per copy; a relation's columns
+        # interleave copy by copy, as expand lists each copy's arcs
+        taken: dict[str, np.ndarray] = {}
+        ins: dict[tuple[str, str], list[np.ndarray]] = {}
+        for pid in net._in[tid]:
+            row_of = {id(tok): span[pid][k] for k, tok in enumerate(net.places[pid].tokens)}
+            taken[pid] = np.array([row_of[id(b.assignments[pid])] for b in chosen],
+                                  dtype=np.intp)
+            ins.setdefault((ptype[pid], A_TRANSITION), []).append(taken[pid])
+        outs: dict[tuple[str, str], list[np.ndarray]] = {}
+        for arc in net._out[tid]:
+            if arc.target in taken:
+                col = taken[arc.target]
+            elif arc.target in span:
+                col = np.full(len(chosen), span[arc.target][0], dtype=np.intp)
+            else:
+                continue
+            outs.setdefault((A_TRANSITION, ptype[arc.target]), []).append(col)
+        for rel, cols in ins.items():
+            link(rel, np.stack(cols, axis=1).ravel(), copies.repeat(len(cols)))
+        for rel, cols in outs.items():
+            link(rel, copies.repeat(len(cols)), np.stack(cols, axis=1).ravel())
+
+    feats = {t: np.concatenate(bucket) for t, bucket in blocks.items()}
+    if n_actions:
+        feats[A_TRANSITION] = np.zeros((n_actions, 0))
+    if n_evolutions:
+        feats[E_TRANSITION] = np.zeros((n_evolutions, 0))
+    edges = {rel: (np.concatenate([s for s, _ in p]), np.concatenate([d for _, d in p]))
+             for rel, p in links.items()}
+    return DecisionGraph(feats, edges, n_actions)
 
 
 def validate_graph(graph: AssignmentGraph) -> list[str]:

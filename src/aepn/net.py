@@ -45,7 +45,8 @@ import numpy as np
 TAG_ACTION = "A"
 TAG_EVOLUTION = "E"
 
-# evolution firings allowed at one clock value before we declare a livelock
+# firings allowed at one clock value, actions included, before
+# run_until_decision declares a livelock
 LIVELOCK_LIMIT = 100_000
 
 _ID_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_#\-]*$")
@@ -68,7 +69,7 @@ class StaleBindingError(AEPNError):
 
 
 class LivelockError(AEPNError):
-    """Evolution firings do not quiesce at a fixed clock value."""
+    """Firings do not stop at a fixed clock value."""
 
 
 class Token:
@@ -368,6 +369,7 @@ class MarkedAEPN:
         self.cum_reward = float(cum_reward)
         self.color_spec = color_spec
         self.rng = np.random.default_rng(seed)
+        self._fired_here = 0  # firings since the clock last moved
         self._index()
 
     # -- construction ------------------------------------------------------
@@ -529,6 +531,7 @@ class MarkedAEPN:
         else:
             delta = tr.reward
         self.cum_reward += delta
+        self._fired_here += 1
         return delta
 
     def clock_advance_target(self) -> float:
@@ -553,7 +556,8 @@ class MarkedAEPN:
         none hands the turn to the other tag.  Two passes in a row without a
         firing jump the clock to :meth:`clock_advance_target` (or to the
         horizon) and restart in the Evolution phase.  Past the horizon the
-        net simply stops.
+        net simply stops.  More than ``LIVELOCK_LIMIT`` firings at one clock
+        value, the agent's own included, raise :class:`LivelockError`.
 
         Returns the decision's action pairs, ``enabled_pairs(TAG_ACTION)``
         at the clock it stops on.  The horizon is no decision: there it
@@ -561,10 +565,12 @@ class MarkedAEPN:
         at ``clock == horizon``; a caller that shows them asks
         :meth:`enabled_pairs`.
         """
-        fired_here = idle = 0  # firings at this clock; passes that fired nothing
+        idle = 0  # passes in a row that fired nothing
         while True:
             if self.clock >= self.horizon:
                 return []
+            if self._fired_here > LIVELOCK_LIMIT:
+                raise LivelockError(f"{self._fired_here} firings at clock {self.clock:g}")
             pairs = self.enabled_pairs(self.tag)
             if pairs and self.tag == TAG_ACTION:
                 return pairs
@@ -572,10 +578,6 @@ class MarkedAEPN:
                 tr, binding = pairs[int(self.rng.integers(len(pairs)))]
                 self.fire(tr, binding)
                 idle = 0
-                fired_here += 1
-                if fired_here > LIVELOCK_LIMIT:
-                    raise LivelockError(
-                        f"{fired_here} evolution firings at clock {self.clock:g}")
                 continue
             idle += 1
             if idle < 2:
@@ -583,11 +585,11 @@ class MarkedAEPN:
                 continue
             target = self.clock_advance_target()
             self.tag = TAG_EVOLUTION
+            self._fired_here = idle = 0
             if not math.isfinite(target) or target >= self.horizon:
                 self.clock = self.horizon
                 return []
             self.clock = target
-            fired_here = idle = 0
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -607,6 +609,7 @@ class MarkedAEPN:
         dup.cum_reward = self.cum_reward
         dup.color_spec = self.color_spec
         dup.rng = copy.deepcopy(self.rng)
+        dup._fired_here = self._fired_here
         dup._in = self._in
         dup._out = self._out
         return dup

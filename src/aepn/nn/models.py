@@ -14,7 +14,7 @@ import json
 
 import numpy as np
 
-from ..graph import A_TRANSITION, AssignmentGraph, edge_type_table, type_registry
+from ..graph import A_TRANSITION, DecisionGraph, edge_type_table, type_registry
 from .tensor import Tensor, no_grad
 
 ATTN_SLOPE = 0.2
@@ -80,11 +80,11 @@ def segment_softmax(scores: Tensor, segments, num_segments: int) -> Tensor:
 
 
 class GraphBatch:
-    """Block-diagonal batch of assignment graphs, bucketed by node type.
+    """Block-diagonal batch of decision graphs, bucketed by node type.
 
-    Node order inside each type bucket follows graph order then node
-    order within the graph, so action-node rows line up with the
-    environment's action list.
+    Each type bucket stacks the graphs' rows in graph order, so action-node
+    rows line up with the environments' action lists; edge indices are
+    shifted by the rows of earlier graphs.
     """
 
     def __init__(self, registry: dict):
@@ -92,40 +92,36 @@ class GraphBatch:
         self.relations = registry["relations"]
 
     @classmethod
-    def from_graphs(cls, graphs: list[AssignmentGraph], registry: dict) -> "GraphBatch":
+    def from_graphs(cls, graphs: list[DecisionGraph], registry: dict) -> "GraphBatch":
         b = cls(registry)
-        feats: dict[str, list] = {t: [] for t in b.types}
-        node_graph: dict[str, list] = {t: [] for t in b.types}
-        edges: dict[tuple, tuple[list, list]] = {r: ([], []) for r in b.relations}
-        lookup: dict[tuple, tuple[str, int]] = {}
-        counts, action_counts = [], []
-        for gi, g in enumerate(graphs):
-            n_actions = 0
-            for node in g.nodes:
-                if node.type not in feats:
-                    raise KeyError(f"unregistered node type {node.type!r}")
-                lookup[(gi, node.id)] = (node.type, len(feats[node.type]))
-                feats[node.type].append(node.attrs)
-                node_graph[node.type].append(gi)
-                if node.type == A_TRANSITION:
-                    n_actions += 1
-            for src, dst in g.edges:
-                ts, rs = lookup[(gi, src)]
-                td, rd = lookup[(gi, dst)]
-                if (ts, td) not in edges:
-                    raise KeyError(f"unregistered edge type {(ts, td)!r}")
-                edges[(ts, td)][0].append(rs)
-                edges[(ts, td)][1].append(rd)
-            counts.append(len(g.nodes))
-            action_counts.append(n_actions)
+        for g in graphs:
+            for t in g.feats:
+                if t not in b.types:
+                    raise KeyError(f"unregistered node type {t!r}")
+            for rel in g.edges:
+                if rel not in b.relations:
+                    raise KeyError(f"unregistered edge type {rel!r}")
         b.num_graphs = len(graphs)
-        b.feats = {t: np.asarray(rows, dtype=np.float64).reshape(len(rows), len(b.types[t]))
-                   for t, rows in feats.items()}
-        b.node_graph = {t: np.asarray(ix, dtype=np.intp) for t, ix in node_graph.items()}
-        b.edges = {r: (np.asarray(s, dtype=np.intp), np.asarray(d, dtype=np.intp))
-                   for r, (s, d) in edges.items()}
-        b.counts = np.asarray(counts, dtype=np.float64)
-        b.action_counts = np.asarray(action_counts, dtype=np.intp)
+        sizes = {t: np.array([len(g.feats[t]) if t in g.feats else 0 for g in graphs],
+                             dtype=np.intp) for t in b.types}
+        offsets = {t: np.cumsum(n) - n for t, n in sizes.items()}
+        b.feats = {t: np.concatenate([np.zeros((0, len(names)))]
+                                     + [g.feats[t] for g in graphs if t in g.feats])
+                   for t, names in b.types.items()}
+        b.node_graph = {t: np.repeat(np.arange(len(graphs), dtype=np.intp), n)
+                        for t, n in sizes.items()}
+        b.edges = {}
+        for ts, td in b.relations:
+            src, dst = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+            for gi, g in enumerate(graphs):
+                if (ts, td) in g.edges:
+                    s, d = g.edges[(ts, td)]
+                    src.append(s + offsets[ts][gi])
+                    dst.append(d + offsets[td][gi])
+            b.edges[(ts, td)] = (np.concatenate(src), np.concatenate(dst))
+        b.counts = np.array([sum(map(len, g.feats.values())) for g in graphs],
+                            dtype=np.float64)
+        b.action_counts = np.array([g.n_actions for g in graphs], dtype=np.intp)
         b.action_offsets = np.concatenate(([0], np.cumsum(b.action_counts)[:-1]))
         return b
 
@@ -227,7 +223,7 @@ class GraphActorCritic:
     def meta(self) -> dict:
         return {"registry": self.registry, "d": self.d, "rounds": self.rounds, "seed": self.seed}
 
-    def batch(self, graphs: list[AssignmentGraph]) -> GraphBatch:
+    def batch(self, graphs: list[DecisionGraph]) -> GraphBatch:
         return GraphBatch.from_graphs(graphs, self.registry)
 
     def policy_forward(self, batch: GraphBatch) -> Tensor:

@@ -4,6 +4,8 @@ from __future__ import annotations
 import numpy as np
 
 from aepn.env import AssignmentEnv, random_policy
+from aepn.expand import expand
+from aepn.graph import A_TRANSITION, AssignmentGraph, DecisionGraph, map_to_graph
 from aepn.net import MarkedAEPN, build_net
 from aepn.problems import build_problem
 
@@ -150,17 +152,63 @@ def brute_force_gae(r, v, d, last_value, gamma, lam):
     return adv, adv + np.asarray(v)
 
 
-def collect_observations(problem: str, episodes: int, seed: int = 0) -> list:
-    """Graph observations from random-policy episodes, decision by decision."""
+def _random_decisions(problem: str, episodes: int, seed: int):
+    """``(env, obs)`` at every decision of random-policy episodes."""
     env = AssignmentEnv(build_problem(problem), seed=seed)
     rng = np.random.default_rng(seed)
-    out = []
     for _ in range(episodes):
         obs = env.reset()
         while True:
-            out.append(obs)
+            yield env, obs
             res = env.step(random_policy(obs, rng))
             obs = res.observation
             if res.done:
                 break
-    return out
+
+
+def collect_observations(problem: str, episodes: int, seed: int = 0) -> list:
+    """Graph observations from random-policy episodes, decision by decision."""
+    return [obs for _, obs in _random_decisions(problem, episodes, seed)]
+
+
+def collect_reference_graphs(problem: str, episodes: int, seed: int = 0) -> list:
+    """``map_to_graph(*expand(net))`` at the decisions of
+    :func:`collect_observations` with the same arguments."""
+    return [map_to_graph(*expand(env.net))[0]
+            for env, _ in _random_decisions(problem, episodes, seed)]
+
+
+def decision_graph(graph: AssignmentGraph) -> DecisionGraph:
+    """The arrays of a reference graph: rows per node type in node order,
+    ``(src, dst)`` rows per relation in edge order."""
+    rows: dict[str, list] = {}
+    where: dict[str, tuple[str, int]] = {}
+    for node in graph.nodes:
+        bucket = rows.setdefault(node.type, [])
+        where[node.id] = (node.type, len(bucket))
+        bucket.append(node.attrs)
+    edges: dict[tuple, tuple[list, list]] = {}
+    for src, dst in graph.edges:
+        (ts, rs), (td, rd) = where[src], where[dst]
+        pair = edges.setdefault((ts, td), ([], []))
+        pair[0].append(rs)
+        pair[1].append(rd)
+    return DecisionGraph(
+        {t: np.asarray(r, dtype=np.float64) for t, r in rows.items()},
+        {rel: (np.asarray(s, dtype=np.intp), np.asarray(d, dtype=np.intp))
+         for rel, (s, d) in edges.items()},
+        len(rows.get(A_TRANSITION, ())))
+
+
+def assert_same_decision_graph(got: DecisionGraph, want: DecisionGraph, where="") -> None:
+    """Bitwise equality: the same types, rows, relations and edge order."""
+    assert got.n_actions == want.n_actions, where
+    assert got.feats.keys() == want.feats.keys(), where
+    for t, m in want.feats.items():
+        assert got.feats[t].dtype == m.dtype and got.feats[t].shape == m.shape, (where, t)
+        assert got.feats[t].tobytes() == m.tobytes(), (where, t)
+    assert got.edges.keys() == want.edges.keys(), where
+    for rel, (s, d) in want.edges.items():
+        gs, gd = got.edges[rel]
+        assert gs.dtype == s.dtype and gd.dtype == d.dtype, (where, rel)
+        assert np.array_equal(gs, s) and np.array_equal(gd, d), (where, rel)

@@ -20,8 +20,10 @@ from then on keeps its own state:
   Guard thresholds such as ``clock > q.due`` are not candidate times.
 * **Draws.**  Each evolution firing draws ``rng.integers(len(pairs))`` for
   its pick, then the output arcs draw their samplers in arc order.
-* **Livelock.**  More than ``aepn.net.LIVELOCK_LIMIT`` evolution firings at
-  one clock value raise :class:`~aepn.net.LivelockError`.
+* **Livelock.**  Every firing counts, the agent's actions as well as the
+  evolutions, and the count starts again whenever the clock moves.  Once it
+  exceeds ``aepn.net.LIVELOCK_LIMIT``, the next pass raises
+  :class:`~aepn.net.LivelockError`.
 
 Only ``Guard.evaluate``, ``ArcExpr.produce`` and ``Token.value_key`` are
 shared with the implementation under test.
@@ -61,6 +63,7 @@ class ReferenceNet:
         self.horizon = net.horizon
         self.reward = net.cum_reward
         self.rng = np.random.default_rng(seed)
+        self.fired_here = 0  # firings since the clock last moved
         self.trace: list[tuple] = []
 
     def enabled(self, tr, at: float) -> list[tuple]:
@@ -91,6 +94,7 @@ class ReferenceNet:
             self.reward += by_origin[place].attrs[attr]
         else:
             self.reward += tr.reward
+        self.fired_here += 1
         self.trace.append((tr.id, binding_key(assignment), self.clock, self.tag,
                            self.reward))
 
@@ -107,17 +111,15 @@ class ReferenceNet:
 
     def run_until_decision(self) -> list[tuple]:
         """The decision's action pairs, or ``[]`` once the horizon is reached."""
-        fired_here = 0   # evolution firings at this clock value
-        idle = 0         # phases in a row that had nothing enabled
+        idle = 0  # phases in a row that had nothing enabled
         while self.clock < self.horizon:
+            if self.fired_here > net_mod.LIVELOCK_LIMIT:
+                raise LivelockError(f"livelock at clock {self.clock:g}")
             pairs = self.pairs(self.tag)
             if pairs and self.tag == TAG_ACTION:
                 return pairs
             if pairs:
                 self.fire(*pairs[int(self.rng.integers(len(pairs)))])
-                fired_here += 1
-                if fired_here > net_mod.LIVELOCK_LIMIT:
-                    raise LivelockError(f"livelock at clock {self.clock:g}")
                 idle = 0
             elif idle == 0:
                 idle = 1
@@ -125,5 +127,5 @@ class ReferenceNet:
             else:
                 self.clock = self.next_clock()
                 self.tag = TAG_EVOLUTION
-                fired_here = idle = 0
+                self.fired_here = idle = 0
         return []

@@ -19,8 +19,8 @@ from aepn.nn.models import GraphActorCritic, graph_registry
 from aepn.nn.tensor import no_grad
 from aepn.ppo import PPOConfig, compute_gae, evaluate, train
 from aepn.problems import build_problem
-from helpers import (brute_force_gae, collect_observations, expected_counts,
-                     random_marked_net)
+from helpers import (brute_force_gae, collect_observations, collect_reference_graphs,
+                     decision_graph, expected_counts, random_marked_net)
 
 
 def verdict(capsys, num: int, ok: bool, detail: str) -> None:
@@ -204,7 +204,7 @@ def test_10_batched_forward_and_backward_match_singletons(capsys):
         size = int(rng.integers(2, 7))
         graphs = [pool[i].graph
                   for i in rng.choice(len(pool), size=size, replace=False)]
-        actions = [int(rng.integers(len(g.action_node_ids()))) for g in graphs]
+        actions = [int(rng.integers(g.n_actions)) for g in graphs]
         batch = model.batch(graphs)
         with no_grad():
             probs = model.policy_forward(batch).data[:, 0]
@@ -244,17 +244,17 @@ def _permuted(g: AssignmentGraph, rng) -> AssignmentGraph:
 def test_11_node_order_invariance(capsys):
     model = GraphActorCritic(graph_registry(build_problem("p2")), d=16,
                              rounds=2, seed=3)
-    pool = collect_observations("p2", 5, seed=60)
+    pool = collect_reference_graphs("p2", 5, seed=60)
     rng = np.random.default_rng(14)
     worst = 0.0
-    for obs in pool[:50]:
-        g = obs.graph
+    for g in pool[:50]:
         p = _permuted(g, rng)
+        batch_g, batch_p = model.batch([decision_graph(g)]), model.batch([decision_graph(p)])
         with no_grad():
-            probs_g = model.policy_forward(model.batch([g])).data[:, 0]
-            probs_p = model.policy_forward(model.batch([p])).data[:, 0]
-            v_g = float(model.value_forward(model.batch([g])).data[0, 0])
-            v_p = float(model.value_forward(model.batch([p])).data[0, 0])
+            probs_g = model.policy_forward(batch_g).data[:, 0]
+            probs_p = model.policy_forward(batch_p).data[:, 0]
+            v_g = float(model.value_forward(batch_g).data[0, 0])
+            v_p = float(model.value_forward(batch_p).data[0, 0])
         by_g = dict(zip(g.action_node_ids(), probs_g))
         by_p = dict(zip(p.action_node_ids(), probs_p))
         assert set(by_g) == set(by_p)

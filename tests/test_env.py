@@ -10,6 +10,7 @@ from aepn.env import (
     NotRepresentableError,
     StepResult,
     VectorEnv,
+    action_node_ids,
     greedy_policy,
     random_policy,
     vector_action_table,
@@ -32,7 +33,7 @@ def run_episode(env, policy, rng=None, rows=None):
         k = policy(obs, rng)
         res = env.step(k)
         if rows is not None:
-            node = obs.graph.action_node_ids()[k]
+            node = action_node_ids(obs.pairs)[k]
             rows.append((env.episode, res.info["step"], obs.clock, node, res.reward))
         total += res.reward
         rewards.append(res.reward)
@@ -57,7 +58,8 @@ def test_observation_contract():
     obs = env.reset()
     assert obs.clock == 0.0
     assert len(obs.pairs) == 2
-    assert len(obs.graph.action_node_ids()) == 2
+    assert obs.graph.n_actions == 2
+    assert action_node_ids(obs.pairs) == ["start#0", "start#1"]
     assert {tid for tid, _ in obs.pairs} == {"start"}
 
 
@@ -67,7 +69,7 @@ def test_step_errors():
         env.step(0)  # before reset
     obs = env.reset()
     # node ids, negative and out-of-range indices are no actions
-    for bad in ("nonsense", obs.graph.node_ids()[0], obs.graph.action_node_ids()[0],
+    for bad in ("nonsense", "waiting#0", action_node_ids(obs.pairs)[0],
                 -1, len(obs.pairs), 1.0):
         with pytest.raises(AEPNError, match="not enabled"):
             env.step(bad)
@@ -100,7 +102,7 @@ def test_action_k_is_the_kth_action_node(problem):
             expanded, emap = expand(env.net)
             graph, _ = map_to_graph(expanded, emap)
             node_ids = graph.action_node_ids()
-            assert obs.graph.action_node_ids() == node_ids
+            assert action_node_ids(obs.pairs) == node_ids
             assert len(obs.pairs) == len(node_ids)
             for k, (tid, binding) in enumerate(obs.pairs):
                 want_tid, want = emap.action_origin[node_ids[k]]

@@ -1,8 +1,10 @@
 """Graph mapping: counting oracle, typing, serialization, validation, DOT."""
 import json
 
+import numpy as np
 import pytest
 
+from aepn.env import AssignmentEnv, action_node_ids, random_policy
 from aepn.expand import expand
 from aepn.graph import (
     A_TRANSITION,
@@ -10,6 +12,7 @@ from aepn.graph import (
     TIME_ATTR,
     AssignmentGraph,
     GraphNode,
+    compile_decision,
     NotExpandedError,
     deserialize,
     edge_type_table,
@@ -20,9 +23,10 @@ from aepn.graph import (
     type_registry,
     validate_graph,
 )
-from aepn.net import build_net
+from aepn.net import TAG_ACTION, build_net
 from aepn.problems import build_problem
-from helpers import expected_counts, random_marked_net
+from helpers import (assert_same_decision_graph, decision_graph, expected_counts,
+                     random_marked_net)
 
 
 def _golden():
@@ -48,6 +52,34 @@ def test_counting_oracle_on_problems():
         want = expected_counts(net)
         graph, _ = map_to_graph(*expand(net))
         assert (len(graph.nodes), len(graph.edges)) == want, name
+
+
+def test_compiled_decision_equals_reference_on_corpus():
+    # the corpus of acceptance checks 7 and 8
+    for seed in range(1000, 1500):
+        net = random_marked_net(seed)
+        got = compile_decision(net, net.enabled_pairs(TAG_ACTION))
+        assert_same_decision_graph(got, decision_graph(map_to_graph(*expand(net))[0]),
+                                   f"seed {seed}")
+
+
+@pytest.mark.parametrize("problem", ["p1", "p2", "p3"])
+def test_compiled_decision_equals_reference_along_episodes(problem):
+    env = AssignmentEnv(build_problem(problem, horizon=6.0), seed=1)
+    rng = np.random.default_rng(1)
+    seen = terminal = 0
+    for _ in range(4):
+        obs = env.reset()
+        while True:
+            ref = map_to_graph(*expand(env.net))[0]
+            assert_same_decision_graph(obs.graph, decision_graph(ref), (problem, seen))
+            assert action_node_ids(obs.pairs) == ref.action_node_ids()
+            seen += 1
+            if env.done:
+                terminal += obs.graph.n_actions > 0
+                break
+            obs = env.step(random_policy(obs, rng)).observation
+    assert seen > 20 and terminal > 0
 
 
 def test_golden_graph_layout():

@@ -3,10 +3,12 @@ import numpy as np
 import pytest
 
 from aepn.env import AssignmentEnv, VectorEnv, random_policy
-from aepn.graph import A_TRANSITION, AssignmentGraph, GraphNode
+from aepn.expand import expand
+from aepn.graph import A_TRANSITION, AssignmentGraph, GraphNode, map_to_graph
 from aepn.nn.models import (
     ATTN_SLOPE,
     GraphActorCritic,
+    GraphBatch,
     Linear,
     VectorActorCritic,
     graph_registry,
@@ -16,7 +18,7 @@ from aepn.nn.models import (
 )
 from aepn.nn.tensor import Tensor
 from aepn.problems import build_problem
-from helpers import collect_observations
+from helpers import collect_observations, collect_reference_graphs, decision_graph
 
 
 # -- numpy mirror of the forward pass ---------------------------------------
@@ -117,7 +119,7 @@ def _lone_node_graph(registry, attrs):
         [GraphNode("n0", "place(type,budget)", attrs),
          GraphNode("a0", A_TRANSITION, ())],
         [], {t: tuple(a) for t, a in registry["types"].items()})
-    return g
+    return decision_graph(g)
 
 
 def test_isolated_node_embedding_is_projection():
@@ -162,6 +164,71 @@ def test_batch_equals_singletons():
     assert row == probs.shape[0]
 
 
+def _batch_one_by_one(graphs, registry) -> dict:
+    """The arrays of a batch of reference graphs, filled node by node and
+    edge by edge in graph order."""
+    types, relations = registry["types"], registry["relations"]
+    feats = {t: [] for t in types}
+    node_graph = {t: [] for t in types}
+    edges = {r: ([], []) for r in relations}
+    counts, actions = [], []
+    for gi, g in enumerate(graphs):
+        row = {}
+        for node in g.nodes:
+            row[node.id] = (node.type, len(feats[node.type]))
+            feats[node.type].append(node.attrs)
+            node_graph[node.type].append(gi)
+        for src, dst in g.edges:
+            (ts, rs), (td, rd) = row[src], row[dst]
+            edges[(ts, td)][0].append(rs)
+            edges[(ts, td)][1].append(rd)
+        counts.append(len(g.nodes))
+        actions.append(len(g.action_node_ids()))
+    return {
+        "feats": {t: np.asarray(r, dtype=np.float64).reshape(len(r), len(types[t]))
+                  for t, r in feats.items()},
+        "node_graph": {t: np.asarray(r, dtype=np.intp) for t, r in node_graph.items()},
+        "edges": {r: (np.asarray(s, dtype=np.intp), np.asarray(d, dtype=np.intp))
+                  for r, (s, d) in edges.items()},
+        "counts": np.asarray(counts, dtype=np.float64),
+        "action_counts": np.asarray(actions, dtype=np.intp),
+    }
+
+
+def test_batch_of_compiled_graphs_equals_batching_reference_graphs():
+    template = build_problem("p2", horizon=12.0)
+    registry = graph_registry(template)
+    env = AssignmentEnv(template, seed=8)
+    rng = np.random.default_rng(8)
+    compiled, reference = [], []
+    for _ in range(3):
+        obs = env.reset()
+        while True:  # the terminal observation too
+            compiled.append(obs.graph)
+            reference.append(map_to_graph(*expand(env.net))[0])
+            if env.done:
+                break
+            obs = env.step(random_policy(obs, rng)).observation
+    picks = rng.permutation(len(compiled))  # mixed clocks and episodes
+    for size in (1, 7, len(picks)):
+        batch = GraphBatch.from_graphs([compiled[i] for i in picks[:size]], registry)
+        want = _batch_one_by_one([reference[i] for i in picks[:size]], registry)
+        assert batch.num_graphs == size
+        for t in registry["types"]:
+            for got, ref in ((batch.feats[t], want["feats"][t]),
+                             (batch.node_graph[t], want["node_graph"][t])):
+                assert got.dtype == ref.dtype and got.shape == ref.shape, t
+                assert got.tobytes() == ref.tobytes(), t
+        for rel in registry["relations"]:
+            for got, ref in zip(batch.edges[rel], want["edges"][rel]):
+                assert got.dtype == ref.dtype and np.array_equal(got, ref), rel
+        for name in ("counts", "action_counts"):
+            got, ref = getattr(batch, name), want[name]
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), name
+        assert np.array_equal(batch.action_offsets,
+                              np.cumsum(want["action_counts"]) - want["action_counts"])
+
+
 def test_batch_gradients_match_singletons():
     template = build_problem("p1")
     model = GraphActorCritic(graph_registry(template), d=4, rounds=1, seed=2)
@@ -198,11 +265,10 @@ def test_permutation_invariance():
     template = build_problem("p2")
     model = GraphActorCritic(graph_registry(template), d=8, rounds=2, seed=5)
     rng = np.random.default_rng(9)
-    for obs in collect_observations("p2", 1, seed=6)[:8]:
-        g = obs.graph
+    for g in collect_reference_graphs("p2", 1, seed=6)[:8]:
         p = _permute_graph(g, rng)
-        probs_g = model.policy_forward(model.batch([g])).data[:, 0]
-        probs_p = model.policy_forward(model.batch([p])).data[:, 0]
+        probs_g = model.policy_forward(model.batch([decision_graph(g)])).data[:, 0]
+        probs_p = model.policy_forward(model.batch([decision_graph(p)])).data[:, 0]
         by_node_g = dict(zip([n.id for n in g.nodes if n.type == A_TRANSITION],
                              probs_g))
         by_node_p = dict(zip([n.id for n in p.nodes if n.type == A_TRANSITION],
@@ -210,8 +276,8 @@ def test_permutation_invariance():
         assert set(by_node_g) == set(by_node_p)
         for nid in by_node_g:
             assert abs(by_node_g[nid] - by_node_p[nid]) < 1e-9
-        v_g = model.value_forward(model.batch([g])).data[0, 0]
-        v_p = model.value_forward(model.batch([p])).data[0, 0]
+        v_g = model.value_forward(model.batch([decision_graph(g)])).data[0, 0]
+        v_p = model.value_forward(model.batch([decision_graph(p)])).data[0, 0]
         assert abs(v_g - v_p) < 1e-9
 
 
@@ -221,12 +287,12 @@ def test_unregistered_types_rejected():
     alien = AssignmentGraph([GraphNode("x", "place(mystery)", (0.0, 1.0))], [],
                             {"place(mystery)": ("TIME", "mystery")})
     with pytest.raises(KeyError, match="unregistered node type"):
-        model.batch([alien])
+        model.batch([decision_graph(alien)])
     bad_edge = AssignmentGraph(
         [GraphNode("x", A_TRANSITION, ()), GraphNode("y", A_TRANSITION, ())],
         [("x", "y")], {t: tuple(a) for t, a in registry["types"].items()})
     with pytest.raises(KeyError, match="unregistered edge type"):
-        model.batch([bad_edge])
+        model.batch([decision_graph(bad_edge)])
 
 
 def test_actionless_graph_rejected_by_policy():
@@ -235,7 +301,7 @@ def test_actionless_graph_rejected_by_policy():
     g = AssignmentGraph([GraphNode("n", "place()", (0.0,))], [],
                         {t: tuple(a) for t, a in registry["types"].items()})
     with pytest.raises(ValueError, match="no action nodes"):
-        model.policy_forward(model.batch([g]))
+        model.policy_forward(model.batch([decision_graph(g)]))
 
 
 def test_act_samples_and_argmax():

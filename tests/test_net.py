@@ -215,6 +215,28 @@ def test_livelock_detected(monkeypatch):
         net.run_until_decision()
 
 
+def test_action_firings_count_toward_the_livelock_limit(monkeypatch):
+    """Corpus net 30: action ``t0`` takes a ``p0`` token and emits a fresh
+    one with no delay, so an agent that keeps picking it holds the clock."""
+    monkeypatch.setattr(net_mod, "LIVELOCK_LIMIT", 50)
+    env = AssignmentEnv(random_marked_net(30), seed=0)
+    obs = env.reset()
+    for _ in range(50):
+        assert obs.pairs[0][0] == "t0"
+        obs = env.step(0).observation
+        assert env.net.clock == 0.0 and not env.done
+    with pytest.raises(LivelockError, match="51 firings at clock 0"):
+        env.step(0)
+    # the count starts again whenever the clock moves: a p1 episode fires
+    # 120 times over 60 clock values
+    env = AssignmentEnv(build_problem("p1", horizon=60.0), seed=0)
+    obs, steps = env.reset(), 0
+    while not env.done:
+        obs = env.step(greedy_policy(obs)).observation
+        steps += 1
+    assert steps == 60
+
+
 def test_horizon_stops_everything():
     net = _one_place_net([(11.0, 1.0)])
     net.run_until_decision()
@@ -278,12 +300,12 @@ def test_run_until_decision_starts_in_the_declared_phase():
     assert len(evolving.places["archived"].tokens) == 1
 
 
-@pytest.mark.parametrize("env_cls,per_step", [(AssignmentEnv, 3), (VectorEnv, 2)])
+@pytest.mark.parametrize("env_cls,per_step", [(AssignmentEnv, 2), (VectorEnv, 2)])
 def test_turn_pass_walks_the_actions_once(monkeypatch, env_cls, per_step):
     """p2 has one resource, so every step passes the turn.  The net walks
     the action transitions once to find them empty and once at the next
     decision (none when the clock jumps to the horizon; there the terminal
-    observation walks).  ``expand`` walks them once per graph observation."""
+    observation walks).  Both observations reuse the decision's pairs."""
     walks = []
     enabled_bindings = MarkedAEPN.enabled_bindings
 

@@ -124,7 +124,7 @@ def greedy_rows(template) -> list[tuple]:
     rows = []
     while not env.done:
         k = env_mod.greedy_policy(obs)
-        node = obs.graph.action_node_ids()[k]
+        node = env_mod.action_node_ids(obs.pairs)[k]
         result = env.step(k)
         rows.append((env.episode, result.info["step"], obs.clock, node, result.reward))
         obs = result.observation
